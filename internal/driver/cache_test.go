@@ -3,6 +3,8 @@ package driver
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"branchreg/internal/isa"
+	"branchreg/internal/workloads"
 )
 
 const cacheTestSrc = `int main(void) { int s = 0; for (int i = 0; i < 9; i++) s += i; return s; }`
@@ -237,5 +240,204 @@ func TestCacheCompilePanicContained(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("compiler invoked %d times, want 1 (panic result cached)", n)
+	}
+}
+
+// saltedSrc returns cacheTestSrc with a trailing comment: a distinct
+// cache key that compiles to the same program (and the same size).
+func saltedSrc(n int) string { return fmt.Sprintf("%s\n// %d\n", cacheTestSrc, n) }
+
+func TestBoundedCacheEvictsOldestFirst(t *testing.T) {
+	ctx := context.Background()
+	o := DefaultOptions()
+	p, err := Compile(ctx, cacheTestSrc, isa.BranchReg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := programBytes(p)
+	budget := 3*size + size/2
+	c := NewBoundedCache(budget)
+	compile := func(n int) *isa.Program {
+		t.Helper()
+		p, err := c.Compile(ctx, saltedSrc(n), isa.BranchReg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u := c.Usage(); u.Bytes > budget {
+			t.Fatalf("cache holds %d bytes, budget %d", u.Bytes, budget)
+		}
+		return p
+	}
+	p0 := compile(0)
+	compile(1)
+	compile(2)
+	if compile(0) != p0 { // a hit, and 0 becomes most recently used
+		t.Fatal("resident key recompiled")
+	}
+	compile(3) // over budget: evicts 1, the least recently used
+	if st, u := c.Stats(), c.Usage(); st.Entries != 3 || st.Misses != 4 || u.Evictions != 1 || u.Bytes != 3*size {
+		t.Fatalf("after 4 keys: stats %+v usage %+v, want 3 entries, 4 misses, 1 eviction, %d bytes", st, u, 3*size)
+	}
+	compile(0)
+	compile(2)
+	if st := c.Stats(); st.Misses != 4 {
+		t.Fatalf("keys 0 and 2 were evicted: %+v", st)
+	}
+	compile(1) // evicted above: compiles again, evicting 3
+	if st, u := c.Stats(), c.Usage(); st.Misses != 5 || u.Evictions != 2 {
+		t.Fatalf("re-requesting an evicted key: stats %+v usage %+v, want 5 misses, 2 evictions", st, u)
+	}
+	compile(3)
+	if st := c.Stats(); st.Misses != 6 {
+		t.Fatalf("key 3 should have been the one evicted: %+v", st)
+	}
+}
+
+func TestBoundedCacheDropsOversizedProgram(t *testing.T) {
+	ctx := context.Background()
+	o := DefaultOptions()
+	c := NewBoundedCache(1024) // smaller than any linked program
+	for i := 0; i < 2; i++ {
+		p, err := c.Compile(ctx, cacheTestSrc, isa.BranchReg, o)
+		if err != nil || p == nil {
+			t.Fatalf("oversized program not returned: %v", err)
+		}
+	}
+	st, u := c.Stats(), c.Usage()
+	if st.Misses != 2 || st.Entries != 0 || u.Bytes != 0 || u.Evictions != 0 {
+		t.Fatalf("oversized program retained: stats %+v usage %+v", st, u)
+	}
+	// A compile error is charged a small fixed size and stays cached.
+	bad := `int main(void) { return ; }`
+	for i := 0; i < 2; i++ {
+		if _, err := c.Compile(ctx, bad, isa.BranchReg, o); err == nil {
+			t.Fatal("bad source compiled")
+		}
+	}
+	if st, u := c.Stats(), c.Usage(); st.Misses != 3 || st.Entries != 1 || u.Bytes != errEntryBytes {
+		t.Fatalf("compile error not cached: stats %+v usage %+v", st, u)
+	}
+}
+
+// TestBoundedCacheSingleflightUnderEviction holds one key's compilation
+// in flight while other keys churn the cache well past its budget:
+// every caller of the held key must still share one compilation and
+// one program pointer, because in-flight entries are never evictable.
+func TestBoundedCacheSingleflightUnderEviction(t *testing.T) {
+	orig := compileFn
+	defer func() { compileFn = orig }()
+	held := saltedSrc(-1)
+	var heldCalls atomic.Int64
+	release := make(chan struct{})
+	compileFn = func(ctx context.Context, src string, kind isa.Kind, o Options) (*isa.Program, error) {
+		if src == held {
+			heldCalls.Add(1)
+			<-release
+		}
+		return orig(ctx, src, kind, o)
+	}
+
+	ctx := context.Background()
+	o := DefaultOptions()
+	p, err := Compile(ctx, cacheTestSrc, isa.BranchReg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 2*programBytes(p) + 1
+	c := NewBoundedCache(budget)
+
+	const callers, churn = 8, 24
+	progs := make([]*isa.Program, callers)
+	var wg sync.WaitGroup
+	get := func(i int) {
+		defer wg.Done()
+		p, err := c.Compile(ctx, held, isa.BranchReg, o)
+		if err != nil {
+			t.Error(err)
+		}
+		progs[i] = p
+	}
+	wg.Add(1)
+	go get(0)
+	for c.Stats().Misses == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i < callers; i++ {
+		wg.Add(1)
+		go get(i)
+	}
+	var churners sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		churners.Add(1)
+		go func() {
+			defer churners.Done()
+			for n := w; n < churn; n += 2 {
+				if _, err := c.Compile(ctx, saltedSrc(n), isa.BranchReg, o); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	churners.Wait()
+	for c.Stats().Hits < callers-1 { // every waiter has joined the held compilation
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+
+	if n := heldCalls.Load(); n != 1 {
+		t.Fatalf("held key compiled %d times, want 1", n)
+	}
+	for _, p := range progs[1:] {
+		if p == nil || p != progs[0] {
+			t.Fatal("callers of one key got different programs")
+		}
+	}
+	if u := c.Usage(); u.Evictions == 0 || u.Bytes > budget {
+		t.Fatalf("usage %+v: want evictions under a %d-byte budget", u, budget)
+	}
+}
+
+// compileMatrix compiles every workload for both machines through c.
+func compileMatrix(t *testing.T, c *Cache) {
+	t.Helper()
+	for _, w := range workloads.All() {
+		for _, k := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+			if _, err := c.Compile(context.Background(), w.FullSource(), k, DefaultOptions()); err != nil {
+				t.Fatalf("%s/%v: %v", w.Name, k, err)
+			}
+		}
+	}
+}
+
+func TestUnboundedCacheCompilesEachKeyOnce(t *testing.T) {
+	c := NewCache()
+	compileMatrix(t, c)
+	compileMatrix(t, c)
+	n := int64(2 * len(workloads.All()))
+	if st, u := c.Stats(), c.Usage(); st.Misses != n || st.Entries != n || st.Hits != n || u.Evictions != 0 {
+		t.Fatalf("stats %+v usage %+v, want %d misses == entries, %d hits, no evictions", st, u, n, n)
+	}
+}
+
+// TestProgramBytesTracksHeap checks the budget's currency: the summed
+// size estimate of the 19×2 matrix must be within 30% of the live heap
+// those programs actually hold.
+func TestProgramBytesTracksHeap(t *testing.T) {
+	workloads.All() // build the source table outside the measurement
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewCache()
+	compileMatrix(t, c)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	est := c.Usage().Bytes
+	runtime.KeepAlive(c)
+	ratio := float64(est) / float64(live)
+	t.Logf("estimate %d bytes, live heap %d bytes, ratio %.3f", est, live, ratio)
+	if ratio < 0.7 || ratio > 1.3 {
+		t.Fatalf("size estimate %d is %.2fx the measured live heap %d, want within 30%%", est, ratio, live)
 	}
 }

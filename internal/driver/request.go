@@ -17,8 +17,8 @@ import (
 // consumer of the driver — the experiment runner, the command-line
 // tools, and the brserve service — speaks. Exec and Cache.Exec take a
 // Request and return a Result; the older entry points (Run, RunProgram,
-// RunProgramContext, RunProgramWith, Cache.Run, Cache.RunFaults) are
-// deprecated one-line wrappers over it.
+// RunProgramContext, RunProgramWith) are deprecated one-line wrappers
+// over Exec.
 type Request struct {
 	// Source is the MC program to compile for Kind. Ignored when Program
 	// is set.

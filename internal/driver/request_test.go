@@ -38,7 +38,9 @@ func TestExecMatchesDeprecatedWrappers(t *testing.T) {
 		"RunProgram":        func() (*Result, error) { return RunProgram(p, w.Input) },
 		"RunProgramContext": func() (*Result, error) { return RunProgramContext(ctx, p, w.Input, nil) },
 		"RunProgramWith":    func() (*Result, error) { return RunProgramWith(ctx, p, w.Input, RunConfig{}) },
-		"Cache.Run":         func() (*Result, error) { return c.Run(ctx, w.FullSource(), isa.BranchReg, w.Input, o) },
+		"Cache.Exec/bounded": func() (*Result, error) {
+			return NewBoundedCache(16<<20).Exec(ctx, Request{Source: w.FullSource(), Kind: isa.BranchReg, Input: w.Input, Options: o})
+		},
 		"Cache.Exec": func() (*Result, error) {
 			return c.Exec(ctx, Request{Source: w.FullSource(), Kind: isa.BranchReg, Input: w.Input, Options: o})
 		},

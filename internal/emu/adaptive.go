@@ -3,8 +3,10 @@ package emu
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"branchreg/internal/isa"
 )
@@ -74,18 +76,25 @@ type adaptiveState struct {
 	promotions atomic.Int64
 }
 
-// adaptiveStates keys promotion state by program identity
-// (*isa.Program). Like driver.Cache it grows without bound over
-// distinct programs; the expected regime is a bounded working set of
-// long-lived cached programs (brserve), and a freshly compiled program
-// gets a fresh pointer and therefore fresh, isolated state.
-var adaptiveStates sync.Map // *isa.Program -> *adaptiveState
+// adaptiveStates keys promotion state by program identity through a
+// weak pointer, so the state lives exactly as long as its program: a
+// cleanup registered with the entry deletes it once the program is
+// unreachable (evicted from a bounded driver.Cache, or a one-shot
+// compile gone out of scope). The state holds nothing that points back
+// at the program, which would keep it reachable forever. A freshly
+// compiled program gets a fresh weak pointer and therefore fresh,
+// isolated state, even at a recycled address.
+var adaptiveStates sync.Map // weak.Pointer[isa.Program] -> *adaptiveState
 
 func adaptiveStateFor(p *isa.Program) *adaptiveState {
-	if st, ok := adaptiveStates.Load(p); ok {
+	key := weak.Make(p)
+	if st, ok := adaptiveStates.Load(key); ok {
 		return st.(*adaptiveState)
 	}
-	st, _ := adaptiveStates.LoadOrStore(p, &adaptiveState{})
+	st, loaded := adaptiveStates.LoadOrStore(key, &adaptiveState{})
+	if !loaded {
+		runtime.AddCleanup(p, func(k weak.Pointer[isa.Program]) { adaptiveStates.Delete(k) }, key)
+	}
 	return st.(*adaptiveState)
 }
 

@@ -2,7 +2,12 @@ package emu
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
+	"weak"
+
+	"branchreg/internal/isa"
 )
 
 // Unit tests for the adaptive tier's building blocks. The end-to-end
@@ -155,5 +160,62 @@ func TestMinedVocabularyCoversStaticAndExt(t *testing.T) {
 	}
 	if _, ok := v.pair(uConst, uAddImm); ok {
 		t.Fatal("empty vocabulary resolved a pair")
+	}
+}
+
+// promotedLoopState builds a countdown loop, runs it twice on the
+// adaptive tier — the first run banks a warmup that crosses the
+// threshold, the second enters the promoted form directly — and
+// returns the weak key of its promotion state. The program itself does
+// not escape, so it is unreachable once this returns.
+func promotedLoopState(t *testing.T) weak.Pointer[isa.Program] {
+	t.Helper()
+	p := buildBase(t, func(f *isa.Function) {
+		f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 2, Rs1: 0, UseImm: true, Imm: 200})
+		f.Bind("loop")
+		f.Emit(isa.Instr{Op: isa.OpSub, Rd: 2, Rs1: 2, UseImm: true, Imm: 1})
+		f.Emit(isa.Instr{Op: isa.OpCmp, Rs1: 2, UseImm: true, Imm: 0})
+		f.Emit(isa.Instr{Op: isa.OpB, Cond: isa.CondNE, Target: "loop"})
+		f.Emit(isa.Instr{Op: isa.OpNop})
+		f.Emit(isa.Instr{Op: isa.OpTrap, UseImm: true, Imm: isa.TrapExit})
+	})
+	for run := 0; run < 2; run++ {
+		m, err := New(p, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Loop = LoopAdaptive
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if promoted := m.Refusion.Promoted; promoted != (run == 1) {
+			t.Fatalf("run %d: promoted = %v", run, promoted)
+		}
+	}
+	key := weak.Make(p)
+	if _, ok := adaptiveStates.Load(key); !ok {
+		t.Fatal("no promotion state for a live program")
+	}
+	return key
+}
+
+// TestAdaptiveStateFreedWithProgram: promotion state must not outlive
+// its program, or every program a server ever compiled stays reachable
+// through the state table.
+func TestAdaptiveStateFreedWithProgram(t *testing.T) {
+	key := promotedLoopState(t)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if _, ok := adaptiveStates.Load(key); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("promotion state still held 5s after its program became unreachable")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if key.Value() != nil {
+		t.Fatal("program still reachable")
 	}
 }

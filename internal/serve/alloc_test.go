@@ -3,13 +3,17 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
 	"branchreg/internal/obs"
+	"branchreg/internal/workloads"
 )
 
 // Allocation budgets for the serve hot path. These are ceilings, not
@@ -94,5 +98,109 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hit()
+	}
+}
+
+// settledHeap returns the live heap once garbage collection has also
+// run the cleanups that free evicted programs' promotion state.
+func settledHeap() int64 {
+	var ms runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestServeUniqueSourcesBoundedHeap pushes new source through the
+// handler, as traffic that salts its programs does: every request
+// misses the compile cache. The live heap must stay within the compile
+// cache's budget plus fixed slack, where an unbounded cache grows by
+// every program it ever compiled and that program's promotion state.
+// Run without -race (`make alloc-gate`); the detector inflates the heap.
+func TestServeUniqueSourcesBoundedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap budgets are meaningless under the race detector")
+	}
+	// The result cache is off: it has its own byte budget, and this
+	// test measures the compile side alone.
+	s := New(Config{Workers: 2, ResultCacheMB: -1, Metrics: obs.NewRegistry()})
+	t.Cleanup(func() { stopServer(t, s) })
+	var short []workloads.Workload
+	for _, w := range workloads.All() {
+		switch w.Name {
+		case "matmult", "mincost", "puzzle", "sieve", "spline": // over 1M instructions
+		default:
+			short = append(short, w)
+		}
+	}
+	serve := func(i int) {
+		w := short[i%len(short)]
+		src := fmt.Sprintf("%s\nint heap_salt_%d(void) { return %d; }\n", w.FullSource(), i, i)
+		body, err := json.Marshal(RunRequest{Source: src, Machine: [2]string{"baseline", "branchreg"}[i/len(short)%2], Input: &w.Input})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if rec.Code != 200 {
+			t.Fatalf("request %d (%s): HTTP %d: %s", i, w.Name, rec.Code, rec.Body.String())
+		}
+	}
+	// One pass over the 28 cells populates the server's fixed
+	// structures (pools, histogram sets) before the baseline.
+	for i := 0; i < 2*len(short); i++ {
+		serve(i)
+	}
+	before := settledHeap()
+	const requests = 400
+	for i := 2 * len(short); i < 2*len(short)+requests; i++ {
+		serve(i)
+	}
+	growth := settledHeap() - before
+	u := s.cache.Usage()
+	t.Logf("heap growth %.1f MiB over %d new sources; cache holds %.1f MiB, %d evictions",
+		float64(growth)/(1<<20), requests, float64(u.Bytes)/(1<<20), u.Evictions)
+	// The slack covers the resident programs' promotion state and the
+	// flight recorder's ring; it is well under what 400 leaked
+	// promotion states would add (~17 MiB).
+	const slack = 8 << 20
+	if growth > CompileCacheBytes+slack {
+		t.Fatalf("live heap grew %d bytes over %d new sources, budget %d + slack %d",
+			growth, requests, CompileCacheBytes, slack)
+	}
+	if u.Evictions == 0 || u.Bytes > CompileCacheBytes {
+		t.Fatalf("compile cache usage %+v: want evictions within %d bytes", u, CompileCacheBytes)
+	}
+}
+
+// TestServeMatrixStaysResident: the default compile-cache budget holds
+// the whole 19×2 workload matrix, so repeated traffic over it never
+// evicts (and never recompiles).
+func TestServeMatrixStaysResident(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, w := range workloads.All() {
+		for _, m := range []string{"baseline", "branchreg"} {
+			if code, resp := post(t, ts.URL, &RunRequest{Workload: w.Name, Machine: m, NoCache: true}); code != 200 {
+				t.Fatalf("%s/%s: HTTP %d: %+v", w.Name, m, code, resp)
+			}
+		}
+	}
+	hr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var mr MetricsReply
+	if err := json.NewDecoder(hr.Body).Decode(&mr); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(2 * len(workloads.All()))
+	if ev, entries := mr.Metrics.Counters["serve.cache.evictions"], mr.Metrics.Gauges["serve.cache.entries"]; ev != 0 || entries != n {
+		t.Fatalf("after one 19×2 pass: %d evictions, %d entries, want 0 and %d", ev, entries, n)
+	}
+	if b := mr.Metrics.Gauges["serve.cache.bytes"]; b <= 0 || b > CompileCacheBytes {
+		t.Fatalf("serve.cache.bytes = %d, want within (0, %d]", b, CompileCacheBytes)
 	}
 }

@@ -173,7 +173,8 @@ func TestMetricsPromExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"serve_requests", "serve_queue_depth_total", "serve_uptime_ms",
-		"serve_cache_hits", "serve_latency_total_2xx_",
+		"serve_cache_hits", "serve_cache_evictions", "serve_cache_bytes",
+		"serve_cache_entries", "serve_latency_total_2xx_",
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("exposition lacks %q", want)

@@ -58,7 +58,8 @@ type Config struct {
 	// JobTimeout bounds one execution's wall clock (default: 2 minutes).
 	// An expired job answers 408.
 	JobTimeout time.Duration
-	// Cache supplies the compile cache (default: a fresh private cache).
+	// Cache supplies the compile cache (default: a fresh private cache
+	// bounded to CompileCacheBytes).
 	Cache *driver.Cache
 	// ResultCacheMB budgets the deterministic result cache in MiB
 	// (default 64; negative disables result caching). Admission checks
@@ -233,6 +234,13 @@ type Server struct {
 	gate chan struct{}
 }
 
+// CompileCacheBytes budgets the default compile cache. Traffic that
+// brings new source would otherwise grow the server by every program it
+// ever compiled (and that program's adaptive promotion state). The 19×2
+// workload matrix holds about 7.3 MiB of programs, so repeated traffic
+// over it stays fully resident.
+const CompileCacheBytes = 16 << 20
+
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
@@ -251,7 +259,7 @@ func New(cfg Config) *Server {
 		cfg.JobTimeout = 2 * time.Minute
 	}
 	if cfg.Cache == nil {
-		cfg.Cache = driver.NewCache()
+		cfg.Cache = driver.NewBoundedCache(CompileCacheBytes)
 	}
 	if cfg.ResultCacheMB == 0 {
 		cfg.ResultCacheMB = 64
@@ -1067,16 +1075,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snap := s.cfg.Metrics.Snapshot()
 		// Scrape-time synthetics: values that live on the Server rather
 		// than in the registry.
-		if snap.Gauges == nil {
-			snap.Gauges = map[string]int64{}
-		}
+		s.addCacheMetrics(&snap)
 		snap.Gauges["serve.uptime.ms"] = time.Since(s.start).Milliseconds()
-		cs := s.cache.Stats()
-		if snap.Counters == nil {
-			snap.Counters = map[string]int64{}
-		}
-		snap.Counters["serve.cache.hits"] = cs.Hits
-		snap.Counters["serve.cache.misses"] = cs.Misses
 		if s.results != nil {
 			rs := s.results.Stats()
 			snap.Counters["driver.rescache.hits"] = rs.Hits
@@ -1098,11 +1098,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Cache:         s.cache.Stats(),
 		Metrics:       s.cfg.Metrics.Snapshot(),
 	}
+	s.addCacheMetrics(&reply.Metrics)
 	if s.results != nil {
 		rs := s.results.Stats()
 		reply.ResultCache = &rs
 	}
 	writeJSON(w, 200, reply)
+}
+
+// addCacheMetrics adds the compile cache's traffic and occupancy to a
+// snapshot: values that live on the cache rather than in the registry.
+func (s *Server) addCacheMetrics(snap *obs.Snapshot) {
+	if snap.Counters == nil {
+		snap.Counters = map[string]int64{}
+	}
+	if snap.Gauges == nil {
+		snap.Gauges = map[string]int64{}
+	}
+	cs, u := s.cache.Stats(), s.cache.Usage()
+	snap.Counters["serve.cache.hits"] = cs.Hits
+	snap.Counters["serve.cache.misses"] = cs.Misses
+	snap.Counters["serve.cache.evictions"] = u.Evictions
+	snap.Gauges["serve.cache.bytes"] = u.Bytes
+	snap.Gauges["serve.cache.entries"] = cs.Entries
 }
 
 // jsonEnc pairs a reusable buffer with an encoder bound to it, so a
