@@ -152,7 +152,8 @@ func BenchmarkCacheStudy(b *testing.B) {
 	var res []exp.CacheResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = exp.RunCacheStudy(driver.DefaultOptions(), cfgs, nil)
+		r := exp.Runner{Parallelism: 1}
+		res, err = r.CacheStudy(context.Background(), driver.DefaultOptions(), cfgs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +173,8 @@ func BenchmarkAblations(b *testing.B) {
 	var res []exp.AblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = exp.RunAblations(names)
+		r := exp.Runner{Parallelism: 1}
+		res, err = r.Ablations(context.Background(), names)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,7 +304,8 @@ func BenchmarkModelValidation(b *testing.B) {
 	var rows []exp.SimRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.RunModelValidation(driver.DefaultOptions(), 3,
+		r := exp.Runner{Parallelism: 1}
+		rows, err = r.ModelValidation(context.Background(), driver.DefaultOptions(), 3,
 			[]string{"sieve", "dhrystone"})
 		if err != nil {
 			b.Fatal(err)
@@ -358,7 +361,8 @@ func BenchmarkAlignment(b *testing.B) {
 	var rows []exp.AlignRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.RunAlignmentStudy(cfg, nil)
+		r := exp.Runner{Parallelism: 1}
+		rows, err = r.AlignmentStudy(context.Background(), cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,19 +65,45 @@ type Cache struct {
 	sets  [][]line
 	now   int64
 	Stats Stats
+
+	// pow2 is set when the line size and set count are both powers of
+	// two: addrToLine then indexes with lineShift and setMask instead of
+	// dividing by sizes only known at run time.
+	pow2      bool
+	lineShift uint
+	setMask   int32
 }
 
-// New builds a cache. Sets and Assoc must be powers of two or any positive
-// count; LineWords must be positive.
+// New builds a cache. Sets and Assoc may be any positive count;
+// LineWords must be positive. Power-of-two line sizes and set counts
+// index fastest.
 func New(cfg Config) *Cache {
 	sets := make([][]line, cfg.Sets)
 	for i := range sets {
 		sets[i] = make([]line, cfg.Assoc)
 	}
-	return &Cache{cfg: cfg, sets: sets}
+	c := &Cache{cfg: cfg, sets: sets}
+	lineBytes := 4 * cfg.LineWords
+	if isPow2(lineBytes) && isPow2(cfg.Sets) {
+		c.pow2 = true
+		for 1<<c.lineShift < lineBytes {
+			c.lineShift++
+		}
+		c.setMask = int32(cfg.Sets - 1)
+	}
+	return c
 }
 
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// addrToLine maps a byte address to its set and tag (the line address).
+// The shift and mask agree with the division for every non-negative
+// address; negative ones take the division, which truncates toward zero.
 func (c *Cache) addrToLine(addr int32) (set int, tag int32) {
+	if c.pow2 && addr >= 0 {
+		lineAddr := addr >> c.lineShift
+		return int(lineAddr & c.setMask), lineAddr
+	}
 	lineAddr := addr / int32(4*c.cfg.LineWords)
 	return int(uint32(lineAddr) % uint32(c.cfg.Sets)), lineAddr
 }
@@ -110,6 +136,14 @@ func (c *Cache) victim(set int) int {
 // one cycle plus any miss delay. It returns the delay cycles the fetch
 // waited.
 func (c *Cache) Fetch(addr int32) int64 {
+	delay, _ := c.fetch(addr)
+	return delay
+}
+
+// fetch is Fetch, also returning the line that now holds addr. On
+// return that line's fill is complete (a miss or partial wait advanced
+// time to its fillDone), so an immediate re-fetch of it is a plain hit.
+func (c *Cache) fetch(addr int32) (int64, *line) {
 	c.now++
 	c.Stats.Fetches++
 	set, tag := c.addrToLine(addr)
@@ -131,15 +165,43 @@ func (c *Cache) Fetch(addr int32) int64 {
 		l.lastUse = c.now
 		c.now += delay
 		c.Stats.DelayCycles += delay
-		return delay
+		return delay, l
 	}
 	// Demand miss: full penalty.
 	c.Stats.Misses++
 	delay := int64(c.cfg.MissPenalty)
-	c.install(set, tag, false)
+	l := c.install(set, tag, false)
 	c.now += delay
 	c.Stats.DelayCycles += delay
-	return delay
+	return delay, l
+}
+
+// fetchRun is n demand fetches of the sequential words starting at addr.
+// It equals n Fetch calls, but pays one lookup per line: once a word's
+// line is resident and complete, the rest of the run's words in that
+// line are hits that only advance time.
+func (c *Cache) fetchRun(addr int32, n int) {
+	lineBytes := int32(4 * c.cfg.LineWords)
+	for n > 0 {
+		_, l := c.fetch(addr)
+		n--
+		if addr < 0 {
+			addr += 4
+			continue
+		}
+		k := int((lineBytes-addr%lineBytes)/4) - 1 // words left in the line
+		if k > n {
+			k = n
+		}
+		if k > 0 {
+			c.now += int64(k)
+			c.Stats.Fetches += int64(k)
+			c.Stats.Hits += int64(k)
+			l.lastUse = c.now
+		}
+		addr += 4 * int32(k+1)
+		n -= k
+	}
 }
 
 // Prefetch simulates the side effect of a branch-register assignment: the
@@ -155,8 +217,9 @@ func (c *Cache) Prefetch(addr int32) {
 	c.install(set, tag, true)
 }
 
-// install fills a line, accounting for pollution and wasted prefetches.
-func (c *Cache) install(set int, tag int32, prefetched bool) {
+// install fills a line, accounting for pollution and wasted prefetches,
+// and returns it.
+func (c *Cache) install(set int, tag int32, prefetched bool) *line {
 	w := c.victim(set)
 	l := &c.sets[set][w]
 	if l.valid {
@@ -179,6 +242,7 @@ func (c *Cache) install(set int, tag int32, prefetched bool) {
 	if !prefetched {
 		l.touched = true
 	}
+	return l
 }
 
 // Flush ends the run: untouched prefetched lines still resident count as

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -164,5 +165,128 @@ func TestAccountingInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// divLine is addrToLine's division form, the reference for shift/mask.
+func divLine(cfg Config, addr int32) (int, int32) {
+	lineAddr := addr / int32(4*cfg.LineWords)
+	return int(uint32(lineAddr) % uint32(cfg.Sets)), lineAddr
+}
+
+// TestShiftMaskMatchesDivision: for power-of-two geometries the shift
+// and mask index every address exactly as the division does, negative
+// addresses included.
+func TestShiftMaskMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	addrs := []int32{0, 4, 28, 32, 60, 64, 1 << 20, 1<<31 - 4, -4, -32, -1 << 31}
+	for i := 0; i < 2000; i++ {
+		addrs = append(addrs, int32(rng.Uint32())&^3, int32(rng.Intn(1<<16))*4)
+	}
+	for _, lw := range []int{1, 2, 4, 8, 16, 32} {
+		for _, sets := range []int{1, 2, 8, 16, 32, 64, 256} {
+			cfg := Config{LineWords: lw, Sets: sets, Assoc: 2, MissPenalty: 8}
+			c := New(cfg)
+			if !c.pow2 {
+				t.Fatalf("%+v: power-of-two geometry not detected", cfg)
+			}
+			for _, a := range addrs {
+				gs, gt := c.addrToLine(a)
+				ws, wt := divLine(cfg, a)
+				if gs != ws || gt != wt {
+					t.Fatalf("%+v addr %d: shift/mask gives (%d, %d), division (%d, %d)", cfg, a, gs, gt, ws, wt)
+				}
+			}
+		}
+	}
+}
+
+// TestNonPow2Geometry: a geometry that is not a power of two keeps the
+// division and still simulates correctly.
+func TestNonPow2Geometry(t *testing.T) {
+	for _, cfg := range []Config{
+		{LineWords: 3, Sets: 16, Assoc: 2, MissPenalty: 8},
+		{LineWords: 8, Sets: 6, Assoc: 3, MissPenalty: 5},
+	} {
+		c := New(cfg)
+		if c.pow2 {
+			t.Fatalf("%+v: detected as power-of-two", cfg)
+		}
+		for a := int32(0); a < 4096; a += 4 {
+			gs, gt := c.addrToLine(a)
+			ws, wt := divLine(cfg, a)
+			if gs != ws || gt != wt {
+				t.Fatalf("%+v addr %d: (%d, %d), want (%d, %d)", cfg, a, gs, gt, ws, wt)
+			}
+		}
+		// 48 sequential words fill 48/LineWords lines, all cold misses
+		// (the cache holds them all).
+		c = New(cfg)
+		for a := int32(0); a < 48*4; a += 4 {
+			c.Fetch(a)
+		}
+		if want := int64(48 / cfg.LineWords); c.Stats.Misses != want || c.Stats.Hits != 48-want {
+			t.Errorf("%+v: %d misses, %d hits; want %d, %d", cfg, c.Stats.Misses, c.Stats.Hits, want, 48-want)
+		}
+	}
+}
+
+// TestTraceReplayMatchesLive: replaying a recorded stream leaves every
+// Stats field as the live Fetch/Prefetch calls did, with prefetch off
+// and on, for power-of-two and other geometries.
+func TestTraceReplayMatchesLive(t *testing.T) {
+	cfgs := []Config{
+		{LineWords: 4, Sets: 32, Assoc: 1, MissPenalty: 8},
+		{LineWords: 8, Sets: 8, Assoc: 2, MissPenalty: 8},
+		{LineWords: 16, Sets: 16, Assoc: 2, MissPenalty: 3},
+		{LineWords: 3, Sets: 6, Assoc: 3, MissPenalty: 5},
+	}
+	rng := rand.New(rand.NewSource(2))
+	type event struct {
+		addr     int32
+		prefetch bool
+	}
+	var events []event
+	pc := int32(0x1000)
+	for i := 0; i < 20000; i++ {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			pc = int32(rng.Intn(2048)) * 4
+		case r == 1:
+			events = append(events, event{addr: int32(rng.Intn(2048)) * 4, prefetch: true})
+		}
+		events = append(events, event{addr: pc})
+		pc += 4
+	}
+	var tr Trace
+	for _, e := range events {
+		if e.prefetch {
+			tr.Prefetch(e.addr)
+		} else {
+			tr.Fetch(e.addr)
+		}
+	}
+	if len(tr.entries) >= len(events)/2 {
+		t.Errorf("trace not compact: %d entries for %d events", len(tr.entries), len(events))
+	}
+	for _, cfg := range cfgs {
+		for _, pre := range []bool{false, true} {
+			live := New(cfg)
+			for _, e := range events {
+				switch {
+				case !e.prefetch:
+					live.Fetch(e.addr)
+				case pre:
+					live.Prefetch(e.addr)
+				}
+			}
+			live.Flush()
+			replay := New(cfg)
+			tr.Replay(replay, pre)
+			replay.Flush()
+			if live.Stats != replay.Stats {
+				t.Errorf("%v prefetch=%t: replay %+v, live %+v", cfg, pre, replay.Stats, live.Stats)
+			}
+		}
 	}
 }

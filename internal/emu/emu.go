@@ -93,10 +93,12 @@ type Hooks struct {
 	Prefetch func(addr int32)
 	// Exec is called after each instruction with its Text index.
 	Exec func(idx int)
-	// Transfer is called for every executed transfer of control. taken
-	// reports whether control left the sequential path; dist is the
-	// BRM's calc-to-transfer distance in instructions (-1 on the baseline
-	// machine, where targets are never prefetched).
+	// Transfer is called for every executed transfer of control that
+	// Stats counts. taken reports whether control left the sequential
+	// path; dist is the BRM's calc-to-transfer distance in instructions
+	// (-1 on the baseline machine, where targets are never prefetched,
+	// and for a compare-selected transfer to the halt address, which
+	// counts as a conditional branch but not in the distance histogram).
 	Transfer func(kind TransferKind, taken bool, dist int64)
 }
 

@@ -286,6 +286,10 @@ func (m *Machine) brmAdvance(in *isa.Instr, addr int32, now int64) error {
 			}
 			m.Hooks.Transfer(kind, true, dist)
 		}
+	} else if b.viaCmp && m.Hooks.Transfer != nil {
+		// A compare-selected exit is still a conditional transfer (it
+		// counts in CondBranches); it has no prefetch distance.
+		m.Hooks.Transfer(TransferCond, true, -1)
 	}
 	m.B[isa.RABr] = ret
 	return m.jumpTo(m.addrIndex(b.addr))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,8 +13,14 @@ import (
 // harness and cmd/brbench.
 var fastSubset = []string{"wc", "grep", "matmult", "dhrystone", "tinycc"}
 
+// serialSuite runs the named workloads on one worker, the reference path.
+func serialSuite(names []string) (*SuiteResult, error) {
+	r := Runner{Parallelism: 1}
+	return r.Run(context.Background(), Spec{Workloads: names, Options: driver.DefaultOptions()})
+}
+
 func TestRunSuiteSubset(t *testing.T) {
-	r, err := RunSuiteSubset(driver.DefaultOptions(), fastSubset)
+	r, err := serialSuite(fastSubset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +41,7 @@ func TestRunSuiteSubset(t *testing.T) {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	r, err := RunSuiteSubset(driver.DefaultOptions(), []string{"wc", "sieve"})
+	r, err := serialSuite([]string{"wc", "sieve"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +54,7 @@ func TestTable1Rendering(t *testing.T) {
 }
 
 func TestCycleEstimates(t *testing.T) {
-	r, err := RunSuiteSubset(driver.DefaultOptions(), fastSubset)
+	r, err := serialSuite(fastSubset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +77,7 @@ func TestCycleEstimates(t *testing.T) {
 }
 
 func TestRatios(t *testing.T) {
-	r, err := RunSuiteSubset(driver.DefaultOptions(), fastSubset)
+	r, err := serialSuite(fastSubset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +105,8 @@ func TestCacheStudy(t *testing.T) {
 		{LineWords: 4, Sets: 16, Assoc: 1, MissPenalty: 8},
 		{LineWords: 4, Sets: 8, Assoc: 2, MissPenalty: 8},
 	}
-	res, err := RunCacheStudy(driver.DefaultOptions(), cfgs, []string{"wc", "grep"})
+	r := Runner{Parallelism: 1}
+	res, err := r.CacheStudy(context.Background(), driver.DefaultOptions(), cfgs, []string{"wc", "grep"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +134,8 @@ func TestCacheStudy(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	res, err := RunAblations([]string{"matmult", "wc"})
+	r := Runner{Parallelism: 1}
+	res, err := r.Ablations(context.Background(), []string{"matmult", "wc"})
 	if err != nil {
 		t.Fatal(err)
 	}

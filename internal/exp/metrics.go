@@ -12,4 +12,11 @@ var (
 	mWorkerBusy = obs.Default.Counter("exp.worker_busy_ns")
 	mPoolWall   = obs.Default.Counter("exp.pool_wall_ns")
 	mPoolSize   = obs.Default.Gauge("exp.pool_workers")
+
+	// Emulations the studies share: fetch streams recorded once per
+	// program and replayed once per cache-study job, and validation runs
+	// shared across pipeline depths.
+	mTraceRecorded        = obs.Default.Counter("exp.fetch_trace.recorded")
+	mTraceReplayed        = obs.Default.Counter("exp.fetch_trace.replayed")
+	mValidationEmulations = obs.Default.Counter("exp.validation.emulations")
 )

@@ -23,12 +23,31 @@ func reportSpec() AllSpec {
 // TestReportRoundTrip runs every phase through one Runner and checks the
 // acceptance criteria end to end: each (program, machine, config) is
 // compiled at most once — visible as Misses == Entries plus a healthy hit
-// count in the JSON — and the emitted JSON round-trips losslessly.
+// count in the JSON — each study emulates a program at most once, and
+// the emitted JSON round-trips losslessly.
 func TestReportRoundTrip(t *testing.T) {
+	spec := reportSpec()
+	rec0, rep0, emu0 := mTraceRecorded.Value(), mTraceReplayed.Value(), mValidationEmulations.Value()
 	r := Runner{}
-	res, err := r.RunAll(context.Background(), reportSpec())
+	res, err := r.RunAll(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// Shared emulations: each study emulates every distinct program
+	// once. The cache study records its n BRM programs; the alignment
+	// study, with its own memo, records them again plus n aligned
+	// builds. Every cache-study and alignment job is one replay, and
+	// validation's n workloads x 2 machines serve both depths.
+	n := int64(len(spec.Workloads))
+	if got, want := mTraceRecorded.Value()-rec0, 3*n; got != want {
+		t.Errorf("fetch streams recorded = %d, want %d", got, want)
+	}
+	if got, want := mTraceReplayed.Value()-rep0, int64(len(DefaultCacheConfigs())*2)*n+2*n; got != want {
+		t.Errorf("fetch streams replayed = %d, want %d", got, want)
+	}
+	if got, want := mValidationEmulations.Value()-emu0, 2*n; got != want {
+		t.Errorf("validation emulations = %d, want %d", got, want)
 	}
 	rep := res.Report()
 	if rep.Schema != ReportSchemaVersion {

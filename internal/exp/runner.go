@@ -79,6 +79,9 @@ type Runner struct {
 	Tracer *obs.Tracer
 
 	cacheOnce sync.Once
+	// stats memoizes model validation's runs, so every pipeline depth
+	// validated through this Runner shares one emulation per program.
+	stats memo[runKey, emu.Stats]
 }
 
 func (r *Runner) cache() *driver.Cache {
@@ -409,9 +412,11 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*SuiteResult, error) {
 // readable (sieve has under ten live blocks; tinycc has hundreds).
 const hotBlockTop = 10
 
-// CacheStudy is the parallel form of RunCacheStudy: every
-// (configuration, prefetch, workload) triple is one pool job, merged per
-// configuration in workload order.
+// CacheStudy executes the named workloads (nil = a representative
+// subset) on the BRM against each cache configuration, with and without
+// prefetch-on-assignment. Every (configuration, prefetch, workload)
+// triple is one pool job, merged per configuration in workload order;
+// each program is emulated once and its fetch stream replayed per job.
 func (r *Runner) CacheStudy(ctx context.Context, o driver.Options, cfgs []cache.Config, names []string) ([]CacheResult, error) {
 	if names == nil {
 		names = []string{"dhrystone", "matmult", "grep", "sort", "tinycc"}
@@ -421,18 +426,18 @@ func (r *Runner) CacheStudy(ctx context.Context, o driver.Options, cfgs []cache.
 		return nil, err
 	}
 	modes := []bool{false, true}
-	type cell struct{ stats cache.Stats }
-	cells := make([]cell, len(cfgs)*len(modes)*len(sel))
+	var traces memo[runKey, *cache.Trace]
+	cells := make([]cache.Stats, len(cfgs)*len(modes)*len(sel))
 	err = r.runJobs(ctx, "cache study", r.workers(0), len(cells),
 		func(ctx context.Context, i int) error {
 			cfg := cfgs[i/(len(modes)*len(sel))]
 			pre := modes[(i/len(sel))%len(modes)]
 			w := sel[i%len(sel)]
-			st, err := r.cachedRunWithICache(ctx, w, o, cfg, pre)
+			st, err := r.cachedRunWithICache(ctx, &traces, w, o, cfg, pre)
 			if err != nil {
 				return err
 			}
-			cells[i].stats = st
+			cells[i] = st
 			return nil
 		})
 	if err != nil {
@@ -443,7 +448,7 @@ func (r *Runner) CacheStudy(ctx context.Context, o driver.Options, cfgs []cache.
 		for mi, pre := range modes {
 			total := cache.Stats{}
 			for wi := range sel {
-				addCache(&total, &cells[(ci*len(modes)+mi)*len(sel)+wi].stats)
+				addCache(&total, &cells[(ci*len(modes)+mi)*len(sel)+wi])
 			}
 			out = append(out, CacheResult{Config: cfg, Prefetch: pre, Stats: total})
 		}
@@ -452,30 +457,31 @@ func (r *Runner) CacheStudy(ctx context.Context, o driver.Options, cfgs []cache.
 }
 
 // cachedRunWithICache compiles w for the BRM through the compile cache
-// and emulates it against one instruction-cache configuration.
-func (r *Runner) cachedRunWithICache(ctx context.Context, w workloads.Workload, o driver.Options, cfg cache.Config, prefetch bool) (cache.Stats, error) {
+// and replays its fetch stream into one instruction-cache configuration.
+// The stream is recorded by the first job that needs it and shared
+// through traces with every other job of the study.
+func (r *Runner) cachedRunWithICache(ctx context.Context, traces *memo[runKey, *cache.Trace], w workloads.Workload, o driver.Options, cfg cache.Config, prefetch bool) (cache.Stats, error) {
 	p, err := r.cache().Compile(ctx, w.FullSource(), isa.BranchReg, o)
 	if err != nil {
 		return cache.Stats{}, err
 	}
-	m, err := emu.New(p, w.Input)
+	tr, err := traces.get(ctx, runKey{p, w.Input}, func() (*cache.Trace, error) {
+		return recordFetches(ctx, p, w.Input)
+	})
 	if err != nil {
 		return cache.Stats{}, err
 	}
 	ic := cache.New(cfg)
-	m.Hooks.Fetch = func(addr int32) { ic.Fetch(addr) }
-	if prefetch {
-		m.Hooks.Prefetch = func(addr int32) { ic.Prefetch(addr) }
-	}
-	if _, err := m.Run(); err != nil {
-		return cache.Stats{}, err
-	}
+	tr.Replay(ic, prefetch)
 	ic.Flush()
+	mTraceReplayed.Inc()
 	return ic.Stats, nil
 }
 
-// Ablations is the parallel form of RunAblations: every (variant,
-// workload) pair is one pool job, merged per variant in workload order.
+// Ablations measures the paper's §9 design alternatives (each
+// optimization disabled, fewer branch registers) over the named
+// workloads: every (variant, workload) pair is one pool job, merged per
+// variant in workload order.
 func (r *Runner) Ablations(ctx context.Context, names []string) ([]AblationResult, error) {
 	sel, err := selectWorkloads(nil, names)
 	if err != nil {
@@ -517,9 +523,13 @@ func (r *Runner) Ablations(ctx context.Context, names []string) ([]AblationResul
 	return out, nil
 }
 
-// ModelValidation is the parallel form of RunModelValidation: every
-// (workload, machine) pair runs the analytic model and the dynamic
-// pipeline simulation side by side on one pool job.
+// ModelValidation runs the analytic model and the dynamic pipeline
+// simulation side by side on every (workload, machine) pair, one pool
+// job each. The paper's model charges every executed transfer on the
+// baseline machine (taken or not); the simulation charges only taken
+// ones, quantifying the model's overstatement. Both are functions of a
+// run's counters, so each program is emulated once per Runner and every
+// pipeline depth validated shares that run.
 func (r *Runner) ModelValidation(ctx context.Context, o driver.Options, stages int, names []string) ([]SimRow, error) {
 	if names == nil {
 		names = []string{"wc", "grep", "matmult", "dhrystone", "sieve"}
@@ -538,10 +548,13 @@ func (r *Runner) ModelValidation(ctx context.Context, o driver.Options, stages i
 			if err != nil {
 				return err
 			}
-			cmp, err := pipeline.CompareModel(ctx, p, w.Input, stages)
+			st, err := r.stats.get(ctx, runKey{p, w.Input}, func() (emu.Stats, error) {
+				return runStats(ctx, p, w.Input)
+			})
 			if err != nil {
 				return err
 			}
+			cmp := pipeline.CompareStats(kind, &st, stages)
 			rows[i] = SimRow{Name: w.Name, Kind: kind,
 				ModelCycles: cmp.ModelCycles, SimCycles: cmp.SimCycles,
 				OverchargePct: cmp.OverchargePct}
@@ -553,8 +566,10 @@ func (r *Runner) ModelValidation(ctx context.Context, o driver.Options, stages i
 	return rows, nil
 }
 
-// AlignmentStudy is the parallel form of RunAlignmentStudy: every
-// (alignment, workload) pair is one pool job.
+// AlignmentStudy measures instruction-fetch delays on a small cache
+// with function entries unaligned versus aligned to cache lines (§9:
+// "the beginning of the function could be aligned on a cache line
+// boundary"). Every (alignment, workload) pair is one pool job.
 func (r *Runner) AlignmentStudy(ctx context.Context, cfg cache.Config, names []string) ([]AlignRow, error) {
 	if names == nil {
 		names = []string{"dhrystone", "grep", "tinycc"}
@@ -564,12 +579,13 @@ func (r *Runner) AlignmentStudy(ctx context.Context, cfg cache.Config, names []s
 		return nil, err
 	}
 	aligns := []int{0, cfg.LineWords}
+	var traces memo[runKey, *cache.Trace]
 	cells := make([]cache.Stats, len(aligns)*len(sel))
 	err = r.runJobs(ctx, "alignment study", r.workers(0), len(cells),
 		func(ctx context.Context, i int) error {
 			o := driver.DefaultOptions()
 			o.AlignWords = aligns[i/len(sel)]
-			st, err := r.cachedRunWithICache(ctx, sel[i%len(sel)], o, cfg, true)
+			st, err := r.cachedRunWithICache(ctx, &traces, sel[i%len(sel)], o, cfg, true)
 			if err != nil {
 				return err
 			}

@@ -25,7 +25,8 @@ func renderAll(r *SuiteResult) string {
 // table — is byte-identical to the serial path at any parallelism.
 func TestParallelMatchesSerial(t *testing.T) {
 	o := driver.DefaultOptions()
-	serial, err := RunSuiteSubset(o, fastSubset) // deprecated wrapper = 1 worker
+	ref := Runner{Parallelism: 1}
+	serial, err := ref.Run(context.Background(), Spec{Workloads: fastSubset, Options: o})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"branchreg/internal/driver"
+	"branchreg/internal/emu"
 	"branchreg/internal/isa"
+	"branchreg/internal/workloads"
 )
 
 const simProgram = `
@@ -43,10 +45,7 @@ func TestSimulateBaseline(t *testing.T) {
 	}
 	// The aggregate model charges untaken conditionals too, so it must be
 	// at least the simulated count.
-	cmp, err := CompareModel(context.Background(), p, "", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmp := CompareStats(p.Kind, &sim.Stats, 3)
 	if cmp.ModelCycles < cmp.SimCycles {
 		t.Errorf("model (%d) below simulation (%d): the every-transfer charge should be an upper bound",
 			cmp.ModelCycles, cmp.SimCycles)
@@ -77,10 +76,7 @@ func TestSimulateBRM(t *testing.T) {
 	}
 	// The BRM model matches the simulation exactly: both charge N-3 per
 	// conditional and the Figure 9 penalty per late calc.
-	cmp, err := CompareModel(context.Background(), p, "", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmp := CompareStats(p.Kind, &sim4.Stats, 4)
 	if cmp.ModelCycles != cmp.SimCycles {
 		t.Errorf("BRM model (%d) and simulation (%d) disagree", cmp.ModelCycles, cmp.SimCycles)
 	}
@@ -142,4 +138,107 @@ func emuRunFast(p *isa.Program, stages int) (int64, error) {
 		return 0, err
 	}
 	return sim.Cycles, nil
+}
+
+// hookSimCycles is the per-event simulation as a transfer hook on the
+// instrumented loop, charging each model's bubbles event by event. It is
+// the reference Simulate's counter-derived cycles must equal.
+func hookSimCycles(t *testing.T, p *isa.Program, input string, mods []Model) []int64 {
+	t.Helper()
+	m, err := emu.New(p, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bubbles := make([]int64, len(mods))
+	m.Hooks.Transfer = func(tk emu.TransferKind, taken bool, dist int64) {
+		for i, mod := range mods {
+			if p.Kind == isa.Baseline {
+				if taken {
+					bubbles[i] += mod.BaselineTransferDelay()
+				}
+				continue
+			}
+			if tk == emu.TransferCond {
+				bubbles[i] += mod.BRMCondDelay()
+			}
+			if taken && dist >= 0 && dist < int64(emu.MinPrefetchDist) {
+				bubbles[i] += int64(emu.MinPrefetchDist) - dist
+			}
+		}
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Engine() != emu.EngineInstrumented {
+		t.Fatalf("hooked run used the %s engine", m.Engine())
+	}
+	out := make([]int64, len(mods))
+	for i := range mods {
+		out[i] = m.Stats.Instructions + bubbles[i]
+	}
+	return out
+}
+
+// TestSimulateMatchesTransferHook is the differential check behind the
+// counter-derived simulation: on every workload and both machines, at
+// 3, 4 and 5 stages and with the §9 fast compare, Simulate's cycles
+// equal the per-event transfer-hook sums.
+func TestSimulateMatchesTransferHook(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs all 19x2 cells on the instrumented loop")
+	}
+	mods := []Model{{Stages: 3}, {Stages: 4}, {Stages: 5}, {Stages: 4, FastCompare: true}}
+	for _, w := range workloads.All() {
+		for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+			p, err := driver.Compile(context.Background(), w.FullSource(), kind, driver.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := hookSimCycles(t, p, w.Input, mods)
+			for i, mod := range mods {
+				sim, err := SimulateWith(p, w.Input, mod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sim.Cycles != want[i] {
+					t.Errorf("%s on %v, %+v: Simulate %d cycles, transfer hook %d",
+						w.Name, kind, mod, sim.Cycles, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestCondExitCharged pins the one transfer the old hook-based
+// simulation missed: a compare-selected transfer to the halt address.
+// It counts in Stats.CondBranches, so it pays the Stages-3 selection
+// delay like any conditional, and the transfer hook reports it too.
+func TestCondExitCharged(t *testing.T) {
+	f := isa.NewFunction("main", isa.BranchReg)
+	f.Emit(isa.Instr{Op: isa.OpMovBr, Rd: 3, BSrc: isa.RABr}) // b[3] = halt address
+	f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 2, Rs1: 0, UseImm: true, Imm: 1})
+	f.Emit(isa.Instr{Op: isa.OpCmpBr, Cond: isa.CondNE, Rs1: 2, UseImm: true, Imm: 0, BSrc: 3})
+	f.Emit(isa.Instr{Op: isa.OpNop, BR: isa.RABr}) // taken: exit
+	f.Emit(isa.Instr{Op: isa.OpTrap, UseImm: true, Imm: isa.TrapExit})
+	p := &isa.Program{Kind: isa.BranchReg, Funcs: []*isa.Function{f}}
+	if err := p.Link(); err != nil {
+		t.Fatal(err)
+	}
+	mods := []Model{{Stages: 3}, {Stages: 4}, {Stages: 5}}
+	want := hookSimCycles(t, p, "", mods)
+	for i, mod := range mods {
+		sim, err := SimulateWith(p, "", mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Stats.CondBranches != 1 || sim.Stats.CondTaken != 1 {
+			t.Fatalf("stats %+v: want one taken conditional", sim.Stats)
+		}
+		if got := sim.Cycles - sim.Instructions; got != mod.BRMCondDelay() {
+			t.Errorf("%+v: %d bubbles, want %d", mod, got, mod.BRMCondDelay())
+		}
+		if sim.Cycles != want[i] {
+			t.Errorf("%+v: Simulate %d cycles, transfer hook %d", mod, sim.Cycles, want[i])
+		}
+	}
 }
