@@ -3,14 +3,15 @@
 # one template), plus the full test suite under the race detector — which
 # drives the experiment engine's worker pool (suite equality across all
 # engine tiers at parallelism 4, cancellation, compile cache
-# singleflight) and the four-tier engine differential with race checking
+# singleflight) and the engine differential with race checking
 # enabled — plus a short coverage-guided fuzz smoke over the differential
-# fuzzers (including fused-vs-fast) and the fault injector (trap or clean
-# exit, never a panic), plus the chaos smoke (brserve under a seeded
-# fault plan must keep every response byte-correct through engine-tier
-# fallback while its breaker demonstrably opens and closes), plus the
-# benchmark gate (emulator throughput must
-# stay within BENCH_REGRESS percent of the last committed
+# fuzzers (including fused-vs-fast), the compiler's front door (any bytes
+# give a program or a compile error, never a crash) and the fault
+# injector (trap or clean exit, never a panic), plus the chaos smoke
+# (brserve under a seeded fault plan must keep every response
+# byte-correct through engine-tier fallback while its breaker
+# demonstrably opens and closes), plus the benchmark gate (emulator
+# throughput must stay within BENCH_REGRESS percent of the last committed
 # BENCH_emulator.json entry — the profiling hooks in the fast loops are
 # budgeted, not assumed, cheap).
 
@@ -44,12 +45,12 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzDifferentialPrograms -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzFusedDifferential -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzAdaptiveDifferential -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzCompileSource -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=$(FUZZTIME)
 
-# The emulator's three specialized loops (fast+profiled, fused, fused+
-# profiled) are generated from one template; regenerate after editing
-# internal/emu/gen/main.go.
+# The emulator's specialized loops (the profiled fast loops and the fused
+# engine) and the fused superinstruction table are generated from one
+# template; regenerate after editing internal/emu/gen/main.go.
 generate:
 	$(GO) generate ./internal/emu
 
@@ -82,7 +83,7 @@ serve-smoke:
 	rm -f /tmp/brserve-smoke /tmp/brload-smoke; \
 	exit $$rc
 
-# Boot brserve with a seeded chaos plan (every adaptive execution of the
+# Boot brserve with a seeded chaos plan (every fused execution of the
 # sieve classes panics, eight panics total), drive a differential
 # brload burst, then audit the supervision layer: every response must
 # stay byte-correct via fallback, the breaker must open AND close, the

@@ -232,40 +232,31 @@ func BenchmarkEmulator(b *testing.B) {
 		})
 	}
 
-	// The adaptive tier's win condition (ROADMAP): on compiler-shaped
-	// workloads a superinstruction vocabulary mined from the program's own
-	// pair/triple statistics must beat the static global table. tinycc is
-	// that workload; both rows run a precompiled program so they compare
-	// dispatch loops, not compile time, and the adaptive row is warmed
-	// untimed so it measures the promoted steady state brserve's cached
-	// programs reach.
+	// The fused engine on compiler-shaped code: tinycc on a precompiled
+	// program, so the row measures the dispatch loop, not compile time.
+	// The run is warmed untimed, like brserve's cached programs.
 	wt, _ := workloads.ByName("tinycc")
 	for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
 		p, err := driver.Compile(context.Background(), wt.FullSource(), kind, o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, eng := range []struct {
-			name string
-			loop emu.LoopMode
-		}{{"fused", emu.LoopFused}, {"adaptive", emu.LoopAdaptive}} {
-			req := driver.Request{Program: p, Input: wt.Input, Loop: eng.loop}
-			b.Run("tinycc/"+kind.String()+"/"+eng.name, func(b *testing.B) {
-				if _, err := driver.Exec(context.Background(), req); err != nil {
+		req := driver.Request{Program: p, Input: wt.Input, Loop: emu.LoopFused}
+		b.Run("tinycc/"+kind.String()+"/fused", func(b *testing.B) {
+			if _, err := driver.Exec(context.Background(), req); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var insts int64
+			for i := 0; i < b.N; i++ {
+				res, err := driver.Exec(context.Background(), req)
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				var insts int64
-				for i := 0; i < b.N; i++ {
-					res, err := driver.Exec(context.Background(), req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					insts = res.Stats.Instructions
-				}
-				b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds(), "emulated-insts/s")
-			})
-		}
+				insts = res.Stats.Instructions
+			}
+			b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds(), "emulated-insts/s")
+		})
 	}
 }
 

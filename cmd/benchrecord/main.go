@@ -78,12 +78,11 @@ var (
 
 // emuKinds is the row set BenchmarkEmulator must produce for an entry
 // to be recordable: the sieve throughput rows per machine, plus the
-// static-fused vs adaptive comparison on the compiler-shaped tinycc
-// workload (the adaptive tier's win condition).
+// fused engine on a precompiled run of the compiler-shaped tinycc
+// workload.
 var emuKinds = []string{
 	"baseline", "branchreg",
-	"tinycc/baseline/fused", "tinycc/baseline/adaptive",
-	"tinycc/branchreg/fused", "tinycc/branchreg/adaptive",
+	"tinycc/baseline/fused", "tinycc/branchreg/fused",
 }
 
 // measureSamples is how many times each recording or gate measurement

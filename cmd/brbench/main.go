@@ -75,9 +75,8 @@ func main() {
 			"hot_blocks to the JSON report")
 	metrics := flag.Bool("metrics", false, "print the process metrics registry after the run")
 	engine := flag.String("engine", "auto",
-		"emulator engine for suite runs: auto|adaptive|fused|fast|instrumented\n"+
-			"(auto picks the block-fused loop whenever hooks and faults permit;\n"+
-			"adaptive promotes hot programs to a re-fused form at runtime)")
+		"emulator engine for suite runs: auto|fused|fast|instrumented\n"+
+			"(auto picks the block-fused loop whenever hooks and faults permit)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile after the run to this path")
 	flag.Parse()
@@ -111,7 +110,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if faults != nil && (loop == emu.LoopFused || loop == emu.LoopFast || loop == emu.LoopAdaptive) {
+	if faults != nil && (loop == emu.LoopFused || loop == emu.LoopFast) {
 		fatal(fmt.Errorf("-inject requires -engine auto or instrumented: the fast-path engines reject fault plans"))
 	}
 
@@ -299,8 +298,6 @@ func parseEngine(s string) (emu.LoopMode, error) {
 	switch s {
 	case "auto":
 		return emu.LoopAuto, nil
-	case "adaptive":
-		return emu.LoopAdaptive, nil
 	case "fused":
 		return emu.LoopFused, nil
 	case "fast":
@@ -308,7 +305,7 @@ func parseEngine(s string) (emu.LoopMode, error) {
 	case "instrumented":
 		return emu.LoopInstrumented, nil
 	}
-	return 0, fmt.Errorf("bad -engine %q: want auto, adaptive, fused, fast or instrumented", s)
+	return 0, fmt.Errorf("bad -engine %q: want auto, fused, fast or instrumented", s)
 }
 
 // parseInjects parses the -inject flag: a comma-separated list of

@@ -74,8 +74,7 @@ type CacheUsage struct {
 // estimated heap size and evicts least recently used entries while the
 // total exceeds the budget, so a server fed an endless stream of new
 // sources holds a fixed working set of programs. Evicting a program
-// drops the cache's last reference to it; everything derived from it
-// (the emulator's adaptive promotion state) is freed with it.
+// drops the cache's last reference to it.
 type Cache struct {
 	mu        sync.Mutex
 	entries   map[cacheKey]*cacheEntry

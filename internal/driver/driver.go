@@ -133,13 +133,16 @@ type Result struct {
 	Engine string
 	// Fusion describes the block-fused engine's dynamic behavior (blocks
 	// entered, superinstructions retired, hand-offs to the fast loop).
-	// Zero unless Engine is emu.EngineFused or emu.EngineAdaptive.
+	// Zero unless Engine is emu.EngineFused.
 	Fusion emu.FusionStats
-	// Refusion describes the adaptive tier's promotion behavior for this
-	// run (whether it executed a promoted form, the mixed-tier block
-	// split, the mined vocabulary size). Zero unless Engine is
-	// emu.EngineAdaptive.
-	Refusion emu.RefusionStats
+	// Refusion is always zero. It described the removed adaptive tier's
+	// promotion behavior and stays only because the benchmark module
+	// (perfbench) still reads Refusion.Promoted for its
+	// emu.adaptive.promoted_ratio row, which therefore reads 0; a later
+	// benchmark change can retire that row and this field together.
+	//
+	// Deprecated: the adaptive tier is gone; nothing sets this field.
+	Refusion struct{ Promoted bool }
 	// Timing is where the request's wall clock went: compile (zero for
 	// pre-linked programs and compile-cache hits served without waiting)
 	// and emulation, plus queue wait when the request passed through
@@ -152,26 +155,4 @@ type Result struct {
 	// real executions only — shadow verification, benchmark harnesses —
 	// key off this.
 	Cached bool
-}
-
-// Run compiles and executes src on the given machine with the given stdin.
-//
-// Deprecated: use Exec with a Request.
-func Run(ctx context.Context, src string, kind isa.Kind, input string, o Options) (*Result, error) {
-	return Exec(ctx, Request{Source: src, Kind: kind, Input: input, Options: o})
-}
-
-// RunProgram executes a linked program with the given stdin.
-//
-// Deprecated: use Exec with a Request carrying the Program.
-func RunProgram(p *isa.Program, input string) (*Result, error) {
-	return Exec(context.Background(), Request{Program: p, Input: input})
-}
-
-// RunProgramContext executes a linked program with the given stdin and an
-// optional deterministic fault plan.
-//
-// Deprecated: use Exec with a Request carrying the Program and Faults.
-func RunProgramContext(ctx context.Context, p *isa.Program, input string, plan *emu.FaultPlan) (*Result, error) {
-	return Exec(ctx, Request{Program: p, Input: input, Faults: plan})
 }

@@ -5,18 +5,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"branchreg/internal/emu"
 	"branchreg/internal/irexec"
 	"branchreg/internal/isa"
+	"branchreg/internal/mc"
 )
 
 // Native fuzz targets for `make fuzz-smoke`: short, coverage-guided runs
-// of the differential program fuzzer and the fault injector. Both assert
-// the robustness contract — a bad program or a hostile fault plan ends in
-// a typed trap or a clean exit, never a panic or a divergence.
+// of the differential program fuzzers, the compiler's front door and the
+// fault injector. All assert the robustness contract — hostile source
+// ends in a program or a compile error, and a bad program or a hostile
+// fault plan ends in a typed trap or a clean exit, never a panic or a
+// divergence.
 
 // FuzzDifferentialPrograms is the coverage-guided form of
 // TestFuzzDifferential: one generated program per input, compared across
@@ -144,6 +149,37 @@ func FuzzFusedDifferential(f *testing.F) {
 				}
 			} else if auto.Engine != emu.EngineInstrumented {
 				t.Fatalf("%v: engine %q under faults, want %q", kind, auto.Engine, emu.EngineInstrumented)
+			}
+		}
+	})
+}
+
+// FuzzCompileSource is the front door's fuzz target (wired into `make
+// fuzz-smoke`): arbitrary bytes, compiled for both machines, must give a
+// program or an error within hostileBudget — never a panic (the fuzzer
+// catches those as crashes) and never a stack overflow. An error from
+// the front end must be a positioned *mc.Error. The seeds are the
+// hostile shapes of TestHostileSourcesRejected at 1,000 levels, plus a
+// valid program.
+func FuzzCompileSource(f *testing.F) {
+	f.Add([]byte("int main(void) { return 0; }"))
+	f.Add([]byte("int main(void) { return " + strings.Repeat("(", 1_000) + "1" +
+		strings.Repeat(")", 1_000) + "; }"))
+	f.Add([]byte("int main(void) { return 1" + strings.Repeat("+1", 1_000) + "; }"))
+	f.Add([]byte("int main(void) { return " + strings.Repeat("-", 2_000) + "1; }"))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+			start := time.Now()
+			p, err := Compile(context.Background(), string(src), kind, DefaultOptions())
+			if d := time.Since(start); d > hostileBudget {
+				t.Fatalf("%v: compile took %v, budget %v", kind, d, hostileBudget)
+			}
+			if (p == nil) == (err == nil) {
+				t.Fatalf("%v: want a program or an error, got program %v and error %v", kind, p != nil, err)
+			}
+			var e *mc.Error
+			if err != nil && strings.HasPrefix(err.Error(), "front end: ") && !errors.As(err, &e) {
+				t.Fatalf("%v: untyped front-end error: %v", kind, err)
 			}
 		}
 	})

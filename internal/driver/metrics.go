@@ -14,18 +14,15 @@ var (
 	mCompiles  = obs.Default.Counter("driver.compiles")
 	mCompileNS = obs.Default.Histogram("driver.compile_ns")
 
-	mRuns           = obs.Default.Counter("driver.runs")
-	mRunNS          = obs.Default.Histogram("driver.run_ns")
-	mEngineFast     = obs.Default.Counter("driver.engine.fast")
-	mEngineInst     = obs.Default.Counter("driver.engine.instrumented")
-	mEngineFused    = obs.Default.Counter("driver.engine.fused")
-	mEngineAdaptive = obs.Default.Counter("driver.engine.adaptive")
+	mRuns        = obs.Default.Counter("driver.runs")
+	mRunNS       = obs.Default.Histogram("driver.run_ns")
+	mEngineFast  = obs.Default.Counter("driver.engine.fast")
+	mEngineInst  = obs.Default.Counter("driver.engine.instrumented")
+	mEngineFused = obs.Default.Counter("driver.engine.fused")
 
 	mFusedBlocks = obs.Default.Counter("emu.fused.blocks")
 	mFusedSupers = obs.Default.Counter("emu.fused.superinsts")
 	mFusedBails  = obs.Default.Counter("emu.fused.bails")
-
-	mRefusionPromoted = obs.Default.Counter("emu.refusion.promoted_runs")
 
 	mCacheHits   = obs.Default.Counter("driver.cache.hits")
 	mCacheMisses = obs.Default.Counter("driver.cache.misses")

@@ -13,9 +13,10 @@ import (
 
 // Profiling differential: attaching a BlockProfile must be invisible to
 // the program — byte-identical output and identical Stats across the full
-// workload suite on both machines — must not knock a run off the fast
-// path, and must produce flow counts that conserve (per-instruction
-// counts sum to Stats.Instructions) and agree across engines.
+// workload suite on both machines — must keep the run on the predecoded
+// fast path (a profiled fused run takes the profiled fast loop), and
+// must produce flow counts that conserve (per-instruction counts sum to
+// Stats.Instructions) and agree across engines.
 
 func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 	if testing.Short() {
@@ -40,11 +41,14 @@ func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !eqResult(*plain, *profiled) {
-					t.Fatalf("profiling changed the run:\n plain:    %+v\n profiled: %+v", plain, profiled)
+				if profiled.Engine != emu.EngineFast {
+					t.Fatalf("profiled run left the fast path: engine %q", profiled.Engine)
 				}
-				if profiled.Engine != emu.EngineFused {
-					t.Fatalf("profiled run left the fused fast path: engine %q", profiled.Engine)
+				plainEq := *plain
+				plainEq.Engine = profiled.Engine // only the engine name
+				plainEq.Fusion = profiled.Fusion // and the fusion counters differ
+				if !eqResult(plainEq, *profiled) {
+					t.Fatalf("profiling changed the run:\n plain:    %+v\n profiled: %+v", plain, profiled)
 				}
 				var sum, taken, notTaken, penalty int64
 				for _, c := range prof.Counts() {
@@ -91,32 +95,43 @@ func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 
 func TestProfileEnginesAgree(t *testing.T) {
 	// The fast loop's inlined profile updates and the instrumented loop's
-	// profBranch/jumpTo updates must fill identical arrays.
+	// profBranch/jumpTo updates must fill identical arrays on every cell.
+	// A profiled fused run is a profiled fast run: it must say so, and
+	// fill the same arrays.
+	if testing.Short() {
+		t.Skip("full-suite differential is not short")
+	}
 	o := DefaultOptions()
-	names := []string{"sieve", "puzzle", "sort"}
-	for _, name := range names {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			t.Fatalf("no workload %s", name)
-		}
+	for _, w := range workloads.All() {
 		for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
-			p, err := Compile(context.Background(), w.FullSource(), kind, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fastProf := emu.NewBlockProfile(len(p.Text))
-			instProf := emu.NewBlockProfile(len(p.Text))
-			if _, err := Exec(context.Background(), Request{Program: p, Input: w.Input,
-				Loop: emu.LoopFast, Profile: fastProf}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Exec(context.Background(), Request{Program: p, Input: w.Input,
-				Loop: emu.LoopInstrumented, Profile: instProf}); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fastProf, instProf) {
-				t.Fatalf("%s/%v: engines disagree on the profile", name, kind)
-			}
+			w, kind := w, kind
+			t.Run(fmt.Sprintf("%s/%v", w.Name, kind), func(t *testing.T) {
+				t.Parallel()
+				p, err := Compile(context.Background(), w.FullSource(), kind, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				profile := func(loop emu.LoopMode) (*emu.BlockProfile, string) {
+					prof := emu.NewBlockProfile(len(p.Text))
+					res, err := Exec(context.Background(), Request{Program: p, Input: w.Input,
+						Loop: loop, Profile: prof})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return prof, res.Engine
+				}
+				inst, _ := profile(emu.LoopInstrumented)
+				if fast, _ := profile(emu.LoopFast); !reflect.DeepEqual(fast, inst) {
+					t.Fatal("fast and instrumented engines disagree on the profile")
+				}
+				fused, engine := profile(emu.LoopFused)
+				if engine != emu.EngineFast {
+					t.Fatalf("profiled LoopFused run: engine %q, want %q", engine, emu.EngineFast)
+				}
+				if !reflect.DeepEqual(fused, inst) {
+					t.Fatal("profiled LoopFused and instrumented runs disagree on the profile")
+				}
+			})
 		}
 	}
 }

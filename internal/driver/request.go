@@ -16,9 +16,7 @@ import (
 // Request is the one description of a compile-and-run job that every
 // consumer of the driver — the experiment runner, the command-line
 // tools, and the brserve service — speaks. Exec and Cache.Exec take a
-// Request and return a Result; the older entry points (Run, RunProgram,
-// RunProgramContext, RunProgramWith) are deprecated one-line wrappers
-// over Exec.
+// Request and return a Result.
 type Request struct {
 	// Source is the MC program to compile for Kind. Ignored when Program
 	// is set.
@@ -56,11 +54,6 @@ type Request struct {
 	// emu.BlockProfile). Must be sized for the program's Text; profiling
 	// does not force the instrumented engine.
 	Profile *emu.BlockProfile
-	// PromoteThreshold tunes the adaptive tier's promotion trigger
-	// (emu.Machine.PromoteThreshold): 0 means the emulator default,
-	// negative disables promotion. Ignored unless Loop is
-	// emu.LoopAdaptive.
-	PromoteThreshold int64
 	// NoCache suppresses the deterministic result cache for this request
 	// (see ResultCache): the lookup is skipped and the Result is executed
 	// fresh. It cannot affect the Result of a cacheable request — the
@@ -109,9 +102,6 @@ func (r *Request) Fingerprint() string {
 	}
 	if r.Profile != nil {
 		fp += fmt.Sprintf("|prof=%p", r.Profile)
-	}
-	if r.PromoteThreshold != 0 {
-		fp += fmt.Sprintf("|pt=%d", r.PromoteThreshold)
 	}
 	return fp
 }

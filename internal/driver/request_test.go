@@ -10,11 +10,14 @@ import (
 	"branchreg/internal/workloads"
 )
 
-// The Request API contract: Exec reproduces the old entry points
-// exactly, the fingerprint separates every request that could produce a
+// The Request API contract: every Request form of one job — source or
+// pre-linked program, with or without a cache — produces the same
+// Result, the fingerprint separates every request that could produce a
 // different Result (the brserve coalescing key), and the per-request
 // step budget surfaces as the typed step-budget trap.
 
+// TestExecMatchesDeprecatedWrappers runs the Request forms that replaced
+// the removed Run/RunProgram/RunProgramContext/RunProgramWith wrappers.
 func TestExecMatchesDeprecatedWrappers(t *testing.T) {
 	w, _ := workloads.ByName("wc")
 	o := DefaultOptions()
@@ -34,10 +37,18 @@ func TestExecMatchesDeprecatedWrappers(t *testing.T) {
 	}
 	c := NewCache()
 	for name, run := range map[string]func() (*Result, error){
-		"Run":               func() (*Result, error) { return Run(ctx, w.FullSource(), isa.BranchReg, w.Input, o) },
-		"RunProgram":        func() (*Result, error) { return RunProgram(p, w.Input) },
-		"RunProgramContext": func() (*Result, error) { return RunProgramContext(ctx, p, w.Input, nil) },
-		"RunProgramWith":    func() (*Result, error) { return RunProgramWith(ctx, p, w.Input, RunConfig{}) },
+		"Exec/source": func() (*Result, error) {
+			return Exec(ctx, Request{Source: w.FullSource(), Kind: isa.BranchReg, Input: w.Input, Options: o})
+		},
+		"Exec/program": func() (*Result, error) {
+			return Exec(context.Background(), Request{Program: p, Input: w.Input})
+		},
+		"Exec/program+faults": func() (*Result, error) {
+			return Exec(ctx, Request{Program: p, Input: w.Input, Faults: nil})
+		},
+		"Exec/program+run-fields": func() (*Result, error) {
+			return Exec(ctx, Request{Program: p, Input: w.Input, OutputHint: 0, Loop: emu.LoopAuto, Profile: nil})
+		},
 		"Cache.Exec/bounded": func() (*Result, error) {
 			return NewBoundedCache(16<<20).Exec(ctx, Request{Source: w.FullSource(), Kind: isa.BranchReg, Input: w.Input, Options: o})
 		},

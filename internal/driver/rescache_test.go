@@ -97,12 +97,12 @@ func TestResultCacheSanitizes(t *testing.T) {
 
 func TestResultCacheInvalidate(t *testing.T) {
 	rc := NewResultCache(1 << 20)
-	rc.Put("a", "sieve/branchreg", &Result{Engine: emu.EngineAdaptive})
+	rc.Put("a", "sieve/branchreg", &Result{Engine: emu.EngineFused})
 	rc.Put("b", "sieve/branchreg", &Result{Engine: emu.EngineFast})
-	rc.Put("c", "wc/branchreg", &Result{Engine: emu.EngineAdaptive})
+	rc.Put("c", "wc/branchreg", &Result{Engine: emu.EngineFused})
 
 	// Tier-scoped: only the (class, engine) pair goes.
-	if n := rc.Invalidate("sieve/branchreg", emu.EngineAdaptive); n != 1 {
+	if n := rc.Invalidate("sieve/branchreg", emu.EngineFused); n != 1 {
 		t.Errorf("tier-scoped Invalidate dropped %d entries, want 1", n)
 	}
 	if _, ok := rc.Get("a"); ok {

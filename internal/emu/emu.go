@@ -167,18 +167,6 @@ type Machine struct {
 	// Loop selects the execution engine; the zero value (LoopAuto) uses the
 	// fast loop whenever no hooks are installed and no fault plan is armed.
 	Loop LoopMode
-
-	// PromoteThreshold is the adaptive tier's promotion trigger: a block
-	// arrival count at or above it promotes the program to a re-fused
-	// form (see adaptive.go). Zero means DefaultPromoteThreshold;
-	// negative disables promotion (the adaptive tier then runs the plain
-	// fast loop). Ignored by every other LoopMode.
-	PromoteThreshold int64
-
-	// Refusion describes what the adaptive tier did for the last run
-	// (zero value for unpromoted runs and other engines). Like Fusion it
-	// is not part of Stats: Stats stay identical across tiers.
-	Refusion RefusionStats
 }
 
 // isFuncEntry reports whether Text index idx begins a function. Transfer
@@ -264,13 +252,14 @@ const ctxCheckStride = 1 << 16
 // interrupts even a diverging program.
 //
 // The engine is chosen by m.Loop: under LoopAuto (the default) the
-// predecoded fast loop runs whenever it can reproduce the instrumented
-// loop exactly — no hooks installed and no fault plan armed — and the
-// instruction-at-a-time Step loop runs otherwise.
+// block-fused loop runs whenever it can reproduce the instrumented loop
+// exactly — no hooks installed and no fault plan armed — and the
+// instruction-at-a-time Step loop runs otherwise. A run with a profile
+// attached takes the profiled fast loop where it would take the fused
+// one.
 func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 	fast := false
 	fused := false
-	adaptive := false
 	switch m.Loop {
 	case LoopFast:
 		if m.hooksInstalled() || m.faults != nil {
@@ -282,17 +271,16 @@ func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 			return 0, fmt.Errorf("emu: LoopFused cannot honor hooks or fault plans")
 		}
 		fused = true
-	case LoopAdaptive:
-		if m.hooksInstalled() || m.faults != nil {
-			return 0, fmt.Errorf("emu: LoopAdaptive cannot honor hooks or fault plans")
-		}
-		adaptive = true
 	case LoopAuto:
 		fused = !m.hooksInstalled() && m.faults == nil
 	}
+	// A profiled run takes the profiled fast loop: the fused engine has
+	// no profiled form, and the fast loop's profile is identical to
+	// every other engine's (TestProfileEnginesAgree).
+	if fused && m.Prof != nil {
+		fused, fast = false, true
+	}
 	switch {
-	case adaptive:
-		m.engine = EngineAdaptive
 	case fused:
 		m.engine = EngineFused
 	case fast:
@@ -308,7 +296,7 @@ func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 	}
 	var status int32
 	var err error
-	if fast || fused || adaptive {
+	if fast || fused {
 		if m.dec == nil {
 			m.dec = predecode(m.P)
 		}
@@ -320,14 +308,8 @@ func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 		// fastloop_prof.go for why the twins are separate functions).
 		baseline := m.P.Kind == isa.Baseline
 		switch {
-		case adaptive:
-			status, err = m.runAdaptive(ctx)
-		case fused && baseline && m.Prof != nil:
-			status, err = runFusedBaselineProf(m, ctx, m.Prof)
 		case fused && baseline:
 			status, err = runFusedBaseline(m, ctx)
-		case fused && m.Prof != nil:
-			status, err = runFusedBRMProf(m, ctx, m.Prof)
 		case fused:
 			status, err = runFusedBRM(m, ctx)
 		case baseline && m.Prof != nil:

@@ -12,8 +12,8 @@ import (
 )
 
 // The golden differential contract of the predecoded engines: for every
-// program, input, and instruction budget, the fast loop, the block-fused
-// loop (profiled or not) and the instrumented loop must agree on all
+// program, input, and instruction budget, the fast loop (profiled or
+// not), the block-fused loop and the instrumented loop must agree on all
 // observable machine state — Stats, output bytes, exit status, trap
 // values, registers, memory, and the final pc/pending.
 
@@ -27,8 +27,8 @@ var engineTiers = []struct {
 }{
 	{"step", LoopInstrumented, false},
 	{"fast", LoopFast, false},
+	{"fast-prof", LoopFast, true},
 	{"fused", LoopFused, false},
-	{"fused-prof", LoopFused, true},
 }
 
 // runEngine executes p under the given loop mode and returns the machine

@@ -41,15 +41,19 @@ const (
 	// rewritten into superinstructions, and the step budget checked once
 	// per block. Like LoopFast it cannot honor hooks or fault plans.
 	LoopFused
-	// LoopAdaptive is the tiered-promotion engine (adaptive.go): cold
-	// programs warm up in the profiled fast loop, and once a block's
-	// arrival count crosses Machine.PromoteThreshold the program is
-	// re-fused with a vocabulary mined from its own profile and the run
-	// continues in the fused engine. Promotion state is shared across
-	// runs of the same program. Like LoopFast it cannot honor hooks or
-	// fault plans.
-	LoopAdaptive
 )
+
+// LoopAdaptive names the runtime re-fusion tier, which has been
+// removed: it lost to the static fused engine on sieve and mincost in
+// every measured run. The name stays for two reasons: brserve's wire
+// contract still accepts "engine":"adaptive", and the benchmark module
+// (perfbench) compiles against it. It selects the fused engine, so the
+// benchmark's emu.adaptive.* and emu.cell.*.adaptive_vs_fused rows now
+// compare fused with fused; a later benchmark change can retire those
+// rows and this name together.
+//
+// Deprecated: use LoopFused.
+const LoopAdaptive = LoopFused
 
 // hooksInstalled reports whether any observation hook is set.
 func (m *Machine) hooksInstalled() bool {

@@ -6,7 +6,9 @@ package emu
 // predecoded dispatch loop with BlockProfile updates at transfers of
 // control — unconditional writes, no callbacks — generated from the same
 // template as the fused engine so the micro-op semantics cannot drift
-// between engine variants.
+// between engine variants. Every profiled run executes here: the fused
+// engine has no profiled form, so RunContext sends a profiled fused run
+// to these loops.
 //
 // The twins are deliberately separate functions rather than a generic
 // parameterization: an earlier generic version put a dictionary-indirect

@@ -1,11 +1,11 @@
-// Command gen generates the emulator's twin dispatch loops from a single
-// template: the profiled fast loops (fastloop_prof.go) and the block-fused
-// engine in both unprofiled and profiled form (fusedloop.go,
-// fusedloop_prof.go). The hand-written fastloop.go is the semantic
+// Command gen generates the emulator's specialized dispatch loops from a
+// single template: the profiled fast loops (fastloop_prof.go) and the
+// block-fused engine (fusedloop.go), plus the fused superinstruction
+// table (fusedtab.go). The hand-written fastloop.go is the semantic
 // reference; everything that must stay byte-identical to it — micro-op
 // case bodies, trap messages and ordering, Stats arithmetic — lives in the
 // shared template defines below, so a fix lands in every engine variant at
-// once instead of being hand-copied across four 800-line loops.
+// once instead of being hand-copied across 800-line loops.
 //
 // Usage:
 //
@@ -30,22 +30,20 @@ import (
 
 // caseCtx parameterizes the shared micro-op case bodies for one switch
 // site: how a trap syncs machine state (Pend/PC), which machine's op set
-// is live (Brm), whether profile hooks are emitted (Prof), whether the
-// uTrapExit case belongs in the switch (Exit/Adv), and whether fused
-// superinstruction pairs can appear (Body).
+// is live (Brm), whether the uTrapExit case belongs in the switch
+// (Exit/Adv), and whether fused superinstruction pairs can appear (Body).
 type caseCtx struct {
 	Pend string // expression assigned to m.pending before a trap ("" = none)
 	PC   string // trap program-counter expression
 	Brm  bool   // BRM micro-ops are live (and `now` is in scope)
-	Prof bool
 	Exit bool   // include the uTrapExit case (fast loops only)
 	Adv  string // advance flag cleared by uTrapExit ("seqAdv"/"advance")
 	Body bool   // fused block body: include superinstruction pair cases
 }
 
 var funcs = template.FuncMap{
-	"cases": func(pend, pc string, brm, prof, exit, body bool, adv string) caseCtx {
-		return caseCtx{Pend: pend, PC: pc, Brm: brm, Prof: prof, Exit: exit, Adv: adv, Body: body}
+	"cases": func(pend, pc string, brm, exit, body bool, adv string) caseCtx {
+		return caseCtx{Pend: pend, PC: pc, Brm: brm, Exit: exit, Adv: adv, Body: body}
 	},
 	// trap emits the fast loop's trap sequence for the context: optional
 	// m.pending sync, then fastTrap at the context's program counter.
@@ -260,42 +258,10 @@ var tripleSel = [][]string{
 	{"add", "lbi", "cmpbri"}, {"brcalc", "const", "addi"},
 }
 
-// pairSelExt and tripleSelExt are the *extended candidate* vocabulary for
-// the adaptive tier (DESIGN §13): adjacencies that fall below the static
-// selection's global ~1% cutoff but dominate individual workloads — e.g.
-// tinycc retires >2% of its instructions in addi+cmpi, slli+const and
-// const+addi+lwi, none of which earn a global slot. The static tables
-// above never consult these (the fused tier's decode is frozen as the
-// comparison baseline); only the adaptive builder does, and only for
-// patterns the program's own profile proves hot. Appending after the
-// static selection keeps the static kind constants stable.
-var pairSelExt = [][]string{
-	{"addi", "cmpi"}, {"addi", "cmpbri"}, {"slli", "const"}, {"ori", "addi"},
-	{"addi", "addi"}, {"add", "const"}, {"lwi", "swi"}, {"lwi", "slli"},
-	{"ori", "const"}, {"addi", "subi"}, {"subi", "slli"}, {"swi", "addi"},
-	{"ori", "ori"}, {"addi", "lw"}, {"fadd", "fmul"}, {"lfi", "fmul"},
-	{"addi", "lfi"}, {"add", "add"}, {"slli", "addi"}, {"lbi", "addi"},
-	{"lbi", "sbi"}, {"sbi", "lbi"}, {"addi", "lbi"}, {"lbi", "add"},
-	{"const", "cmpi"}, {"const", "cmp"}, {"add", "cmpi"}, {"add", "cmpbri"},
-	{"const", "sbi"}, {"swi", "const"},
-}
-
-var tripleSelExt = [][]string{
-	{"const", "addi", "lwi"}, {"addi", "lwi", "cmp"}, {"addi", "lwi", "cmpbr"},
-	{"add", "lwi", "addi"}, {"lwi", "addi", "cmpi"}, {"lwi", "addi", "cmpbri"},
-	{"slli", "const", "addi"}, {"swi", "addi", "ori"}, {"const", "addi", "addi"},
-	{"add", "const", "addi"}, {"addi", "addi", "slli"}, {"addi", "ori", "addi"},
-	{"add", "lwi", "swi"}, {"lwi", "swi", "addi"}, {"slli", "add", "const"},
-	{"lwi", "slli", "add"}, {"ori", "const", "addi"}, {"addi", "subi", "slli"},
-	{"const", "addi", "subi"}, {"subi", "slli", "add"}, {"lfi", "const", "addi"},
-	{"add", "lfi", "const"}, {"fadd", "fmul", "fadd"}, {"fmul", "fadd", "fmul"},
-}
-
-// fusedSelections returns every selection — static pairs, static triples,
-// then the extended candidates — in kind order.
+// fusedSelections returns every selection — pairs, then triples — in
+// kind order.
 func fusedSelections() [][]string {
-	sel := append(append([][]string{}, pairSel...), tripleSel...)
-	return append(append(sel, pairSelExt...), tripleSelExt...)
+	return append(append([][]string{}, pairSel...), tripleSel...)
 }
 
 func fusedKindName(ops []string) string {
@@ -411,43 +377,13 @@ switch {
 	sb.WriteString(`}
 return 0, false
 }
-
-// fusePairExt reports the fused kind for a pair in the extended candidate
-// vocabulary (adaptive tier only; the static fused tier never consults it).
-func fusePairExt(a, b uopKind) (uopKind, bool) {
-switch {
-`)
-	for _, ops := range pairSelExt {
-		fmt.Fprintf(&sb, "case a == %s && b == %s:\nreturn %s, true\n",
-			vocab[ops[0]].kind, vocab[ops[1]].kind, fusedKindName(ops))
-	}
-	sb.WriteString(`}
-return 0, false
-}
-
-// fuseTripleExt reports the fused kind for a triple in the extended
-// candidate vocabulary (adaptive tier only).
-func fuseTripleExt(a, b, c uopKind) (uopKind, bool) {
-switch {
-`)
-	for _, ops := range tripleSelExt {
-		fmt.Fprintf(&sb, "case a == %s && b == %s && c == %s:\nreturn %s, true\n",
-			vocab[ops[0]].kind, vocab[ops[1]].kind, vocab[ops[2]].kind, fusedKindName(ops))
-	}
-	sb.WriteString(`}
-return 0, false
-}
 `)
 	return sb.String()
 }
 
-type loopParams struct {
-	Prof bool
-}
-
-func render(t *template.Template, name string, p loopParams) string {
+func render(t *template.Template, name string) string {
 	var buf bytes.Buffer
-	if err := t.ExecuteTemplate(&buf, name, p); err != nil {
+	if err := t.ExecuteTemplate(&buf, name, nil); err != nil {
 		panic(err)
 	}
 	return buf.String()
@@ -464,14 +400,9 @@ func main() {
 	files := map[string]string{
 		"fusedtab.go": fusedTab(),
 		"fastloop_prof.go": fastProfHeader +
-			render(t, "fastBaseline", loopParams{Prof: true}) + "\n" +
-			render(t, "fastBRM", loopParams{Prof: true}),
+			render(t, "fastBaseline") + "\n" + render(t, "fastBRM"),
 		"fusedloop.go": fusedHeader +
-			render(t, "fusedBaseline", loopParams{Prof: false}) + "\n" +
-			render(t, "fusedBRM", loopParams{Prof: false}),
-		"fusedloop_prof.go": fusedProfHeader +
-			render(t, "fusedBaseline", loopParams{Prof: true}) + "\n" +
-			render(t, "fusedBRM", loopParams{Prof: true}),
+			render(t, "fusedBaseline") + "\n" + render(t, "fusedBRM"),
 	}
 
 	bad := false
@@ -521,7 +452,9 @@ package emu
 // predecoded dispatch loop with BlockProfile updates at transfers of
 // control — unconditional writes, no callbacks — generated from the same
 // template as the fused engine so the micro-op semantics cannot drift
-// between engine variants.
+// between engine variants. Every profiled run executes here: the fused
+// engine has no profiled form, so RunContext sends a profiled fused run
+// to these loops.
 //
 // The twins are deliberately separate functions rather than a generic
 // parameterization: an earlier generic version put a dictionary-indirect
@@ -577,22 +510,6 @@ package emu
 // machines, measured by cmd/fusepairs (DESIGN §10 records the numbers).
 // Fused kinds extend uopKind past the predecoded set (predecode.go) and
 // appear only in fuop bodies, never in m.dec.
-
-`
-
-const fusedProfHeader = genMark + `
-package emu
-
-// The profiled twins of the fused loops (fusedloop.go), with BlockProfile
-// updates at transfers of control. Generated from the same template; see
-// fastloop_prof.go for why profiled twins are separate functions.
-
-import (
-	"context"
-	"encoding/binary"
-
-	"branchreg/internal/isa"
-)
 
 `
 
@@ -917,7 +834,7 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 		u := &b.dob
 		dpc := int(b.dpc)
 		switch u.kind {
-		{{template "dataCases" cases "pend" "dpc" false .Prof false false ""}}
+		{{template "dataCases" cases "pend" "dpc" false false false ""}}
 		}
 	}
 {{end}}
@@ -937,14 +854,12 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 	case b.taken == succTrap:
 		return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
 	case b.taken == succInner:
-		{{if .Prof}}prof.edge(int(b.dpc), pend)
-		{{end}}m.pc = pend
+		m.pc = pend
 		st.Instructions = insts
 		m.Fusion.Bails++
-		return {{if .Prof}}runFastBaselineProf(m, ctx, prof){{else}}m.runFastBaseline(ctx){{end}}
+		return m.runFastBaseline(ctx)
 	default:
-		{{if .Prof}}prof.edge(int(b.dpc), pend)
-		{{end}}bi = b.taken
+		bi = b.taken
 	}
 {{end}}
 
@@ -962,13 +877,12 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 	case pend < 0 || pend >= n:
 		return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
 	default:
-		{{if .Prof}}prof.edge(int(b.dpc), pend)
-		{{end}}bi = fp.pc2block[pend]
+		bi = fp.pc2block[pend]
 		if bi < 0 {
 			m.pc = pend
 			st.Instructions = insts
 			m.Fusion.Bails++
-			return {{if .Prof}}runFastBaselineProf(m, ctx, prof){{else}}m.runFastBaseline(ctx){{end}}
+			return m.runFastBaseline(ctx)
 		}
 	}
 {{end}}
@@ -986,7 +900,7 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 		m.pc = int(b.fallIdx)
 		st.Instructions = insts
 		m.Fusion.Bails++
-		return {{if .Brm}}{{if .Prof}}runFastBRMProf(m, ctx, prof){{else}}m.runFastBRM(ctx){{end}}{{else}}{{if .Prof}}runFastBaselineProf(m, ctx, prof){{else}}m.runFastBaseline(ctx){{end}}{{end}}
+		return {{if .Brm}}m.runFastBRM(ctx){{else}}m.runFastBaseline(ctx){{end}}
 	}
 {{end}}
 
@@ -1009,9 +923,7 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 		} else {
 			st.PrefetchMiss++
 		}
-		{{if .Prof}}prof.taken(int(b.termPC))
-		prof.prefetch(int(b.termPC), dist)
-		{{end}}
+		
 	}
 	m.B[isa.RABr] = ret
 	switch {
@@ -1024,13 +936,12 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 	case idx < 0 || idx >= n:
 		return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", idx)
 	default:
-		{{if .Prof}}prof.edge(int(b.termPC), idx)
-		{{end}}bi = fp.pc2block[idx]
+		bi = fp.pc2block[idx]
 		if bi < 0 {
 			m.pc = idx
 			st.Instructions = insts
 			m.Fusion.Bails++
-			return {{if .Prof}}runFastBRMProf(m, ctx, prof){{else}}m.runFastBRM(ctx){{end}}
+			return m.runFastBRM(ctx)
 		}
 	}
 {{end}}
@@ -1039,11 +950,9 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 {{/* fastBaseline: the per-instruction baseline loop (profiled twin).  */}}
 {{/* ================================================================ */}}
 {{define "fastBaseline"}}
-{{if .Prof}}// runFastBaselineProf is the profiled twin of Machine.runFastBaseline.
+// runFastBaselineProf is the profiled twin of Machine.runFastBaseline.
 func runFastBaselineProf(m *Machine, ctx context.Context, prof *BlockProfile) (int32, error) {
-{{else}}// runFastBaseline executes the baseline machine over the predecoded form.
-func (m *Machine) runFastBaseline(ctx context.Context) (int32, error) {
-{{end}}	ops := m.dec
+	ops := m.dec
 	st := &m.Stats
 	mem := m.Mem
 	R := &m.R
@@ -1066,35 +975,35 @@ func (m *Machine) runFastBaseline(ctx context.Context) (int32, error) {
 
 		seqAdv := true
 		switch u.kind {
-		{{template "dataCases" cases "pending" "pc" false .Prof true false "seqAdv"}}
+		{{template "dataCases" cases "pending" "pc" false true false "seqAdv"}}
 		case uJump:
 			st.UncondJumps++
-			{{if .Prof}}prof.taken(pc)
-			{{end}}pending = int(u.tgt)
+			prof.taken(pc)
+			pending = int(u.tgt)
 			pc++
 			seqAdv = false
 		case uBCond:
 			st.CondBranches++
 			if isa.Cond(u.cond).HoldsInt(m.CC, 0) {
 				st.CondTaken++
-				{{if .Prof}}prof.taken(pc)
-				{{end}}pending = int(u.tgt)
-			}{{if .Prof}} else {
+				prof.taken(pc)
+				pending = int(u.tgt)
+			} else {
 				prof.notTaken(pc)
-			}{{end}}
+			}
 			pc++
 			seqAdv = false
 		case uCall:
 			st.Calls++
-			{{if .Prof}}prof.taken(pc)
-			{{end}}R[isa.RABase] = u.imm
+			prof.taken(pc)
+			R[isa.RABase] = u.imm
 			pending = int(u.tgt)
 			pc++
 			seqAdv = false
 		case uJalr:
 			st.Calls++
-			{{if .Prof}}prof.taken(pc)
-			{{end}}target := R[u.rs1]
+			prof.taken(pc)
+			target := R[u.rs1]
 			R[isa.RABase] = u.imm
 			pending = addrToIndex(target)
 			pc++
@@ -1107,8 +1016,8 @@ func (m *Machine) runFastBaseline(ctx context.Context) (int32, error) {
 				} else {
 					st.UncondJumps++
 				}
-				{{if .Prof}}prof.taken(pc)
-			{{end}}}
+				prof.taken(pc)
+			}
 			pc++
 			seqAdv = false
 		}
@@ -1125,8 +1034,8 @@ func (m *Machine) runFastBaseline(ctx context.Context) (int32, error) {
 					m.pending = pending
 					return 0, m.fastTrap(pc, insts, TrapPCOutOfRange, "jump out of text: index %d", t)
 				default:
-					{{if .Prof}}prof.edge(pc, t)
-					{{end}}pc = t
+					prof.edge(pc, t)
+					pc = t
 				}
 			} else {
 				pc++
@@ -1159,11 +1068,9 @@ func (m *Machine) runFastBaseline(ctx context.Context) (int32, error) {
 {{/* fastBRM: the per-instruction BRM loop (profiled twin).            */}}
 {{/* ================================================================ */}}
 {{define "fastBRM"}}
-{{if .Prof}}// runFastBRMProf is the profiled twin of Machine.runFastBRM.
+// runFastBRMProf is the profiled twin of Machine.runFastBRM.
 func runFastBRMProf(m *Machine, ctx context.Context, prof *BlockProfile) (int32, error) {
-{{else}}// runFastBRM executes the branch-register machine over the predecoded form.
-func (m *Machine) runFastBRM(ctx context.Context) (int32, error) {
-{{end}}	ops := m.dec
+	ops := m.dec
 	st := &m.Stats
 	mem := m.Mem
 	R := &m.R
@@ -1184,7 +1091,7 @@ func (m *Machine) runFastBRM(ctx context.Context) (int32, error) {
 
 		advance := true
 		switch u.kind {
-		{{template "dataCases" cases "" "pc" true .Prof true false "advance"}}
+		{{template "dataCases" cases "" "pc" true true false "advance"}}
 		}
 
 		if advance && !m.halted {
@@ -1217,8 +1124,8 @@ func (m *Machine) runFastBRM(ctx context.Context) (int32, error) {
 				ret := breg{addr: isa.IndexToAddr(pc) + isa.WordSize, calcTime: now, isRA: true, valid: true}
 				if b.addr == seq {
 					// Untaken conditional: fall through.
-					{{if .Prof}}prof.notTaken(pc)
-					{{end}}m.B[isa.RABr] = ret
+					prof.notTaken(pc)
+					m.B[isa.RABr] = ret
 					pc++
 				} else {
 					st.CondTaken += b2i(b.viaCmp)
@@ -1235,9 +1142,9 @@ func (m *Machine) runFastBRM(ctx context.Context) (int32, error) {
 						} else {
 							st.PrefetchMiss++
 						}
-						{{if .Prof}}prof.taken(pc)
+						prof.taken(pc)
 						prof.prefetch(pc, dist)
-					{{end}}}
+					}
 					m.B[isa.RABr] = ret
 					switch {
 					case idx == -1:
@@ -1246,8 +1153,8 @@ func (m *Machine) runFastBRM(ctx context.Context) (int32, error) {
 					case idx < 0 || idx >= len(ops):
 						return 0, m.fastTrap(pc, insts, TrapPCOutOfRange, "jump out of text: index %d", idx)
 					default:
-						{{if .Prof}}prof.edge(pc, idx)
-						{{end}}pc = idx
+						prof.edge(pc, idx)
+						pc = idx
 					}
 				}
 			}
@@ -1278,11 +1185,9 @@ func (m *Machine) runFastBRM(ctx context.Context) (int32, error) {
 {{/* fusedBaseline: the block-fused baseline engine.                   */}}
 {{/* ================================================================ */}}
 {{define "fusedBaseline"}}
-{{if .Prof}}// runFusedBaselineProf is the profiled twin of runFusedBaseline.
-func runFusedBaselineProf(m *Machine, ctx context.Context, prof *BlockProfile) (int32, error) {
-{{else}}// runFusedBaseline executes the baseline machine over the block-fused form.
+// runFusedBaseline executes the baseline machine over the block-fused form.
 func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
-{{end}}	fp := m.fp
+	fp := m.fp
 	if m.halted {
 		return m.status, nil
 	}
@@ -1294,7 +1199,7 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 		// Not at a block boundary (a resumed or hand-positioned machine):
 		// the whole run belongs to the per-instruction loop.
 		m.Fusion.Bails++
-		return {{if .Prof}}runFastBaselineProf(m, ctx, prof){{else}}m.runFastBaseline(ctx){{end}}
+		return m.runFastBaseline(ctx)
 	}
 	ops := fp.ops
 	blocks := fp.blocks
@@ -1316,7 +1221,7 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 			m.pc = int(b.start)
 			st.Instructions = insts
 			m.Fusion.Bails++
-			return {{if .Prof}}runFastBaselineProf(m, ctx, prof){{else}}m.runFastBaseline(ctx){{end}}
+			return m.runFastBaseline(ctx)
 		}
 		if insts >= nextPoll {
 			if err := ctx.Err(); err != nil {
@@ -1333,13 +1238,13 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 			u := &body[i]
 			insts++
 			switch u.kind {
-			{{template "dataCases" cases "" "int(u.pc)" false .Prof false true ""}}
+			{{template "dataCases" cases "" "int(u.pc)" false false true ""}}
 			}
 		}
 
 		switch b.term {
 		case ftFall:
-			{{template "fallThrough" cases "" "" false .Prof false false ""}}
+			{{template "fallThrough" cases "" "" false false false ""}}
 		case ftExit:
 			insts++
 			m.halted = true
@@ -1350,8 +1255,7 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 		case ftJump:
 			insts++
 			st.UncondJumps++
-			{{if .Prof}}prof.taken(int(b.termPC))
-			{{end}}pend := int(b.tgt)
+			pend := int(b.tgt)
 			{{template "baselineDelay" .}}
 			{{template "applyStatic" .}}
 		case ftBCond, ftCmpBCond:
@@ -1384,30 +1288,25 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 			pend := -2
 			if isa.Cond(b.tob.cond).HoldsInt(m.CC, 0) {
 				st.CondTaken++
-				{{if .Prof}}prof.taken(int(b.termPC))
-				{{end}}pend = int(b.tgt)
-			}{{if .Prof}} else {
-				prof.notTaken(int(b.termPC))
-			}{{end}}
+				pend = int(b.tgt)
+			}
 			{{template "baselineDelay" .}}
 			if pend == -2 {
-				{{template "fallThrough" cases "" "" false .Prof false false ""}}
+				{{template "fallThrough" cases "" "" false false false ""}}
 			} else {
 				{{template "applyStatic" .}}
 			}
 		case ftCall:
 			insts++
 			st.Calls++
-			{{if .Prof}}prof.taken(int(b.termPC))
-			{{end}}R[isa.RABase] = b.tob.imm
+			R[isa.RABase] = b.tob.imm
 			pend := int(b.tgt)
 			{{template "baselineDelay" .}}
 			{{template "applyStatic" .}}
 		case ftJalr:
 			insts++
 			st.Calls++
-			{{if .Prof}}prof.taken(int(b.termPC))
-			{{end}}target := R[b.tob.rs1]
+			target := R[b.tob.rs1]
 			R[isa.RABase] = b.tob.imm
 			pend := addrToIndex(target)
 			{{template "baselineDelay" .}}
@@ -1421,8 +1320,7 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				} else {
 					st.UncondJumps++
 				}
-				{{if .Prof}}prof.taken(int(b.termPC))
-			{{end}}}
+				}
 			{{template "baselineDelay" .}}
 			{{template "applyDynamic" .}}
 		}
@@ -1434,11 +1332,9 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 {{/* fusedBRM: the block-fused branch-register engine.                 */}}
 {{/* ================================================================ */}}
 {{define "fusedBRM"}}
-{{if .Prof}}// runFusedBRMProf is the profiled twin of runFusedBRM.
-func runFusedBRMProf(m *Machine, ctx context.Context, prof *BlockProfile) (int32, error) {
-{{else}}// runFusedBRM executes the branch-register machine over the block-fused form.
+// runFusedBRM executes the branch-register machine over the block-fused form.
 func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
-{{end}}	fp := m.fp
+	fp := m.fp
 	if m.halted {
 		return m.status, nil
 	}
@@ -1448,7 +1344,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 	}
 	if bi < 0 {
 		m.Fusion.Bails++
-		return {{if .Prof}}runFastBRMProf(m, ctx, prof){{else}}m.runFastBRM(ctx){{end}}
+		return m.runFastBRM(ctx)
 	}
 	ops := fp.ops
 	blocks := fp.blocks
@@ -1467,7 +1363,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			m.pc = int(b.start)
 			st.Instructions = insts
 			m.Fusion.Bails++
-			return {{if .Prof}}runFastBRMProf(m, ctx, prof){{else}}m.runFastBRM(ctx){{end}}
+			return m.runFastBRM(ctx)
 		}
 		if insts >= nextPoll {
 			if err := ctx.Err(); err != nil {
@@ -1486,13 +1382,13 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			now := insts
 			_ = now
 			switch u.kind {
-			{{template "dataCases" cases "" "int(u.pc)" true .Prof false true ""}}
+			{{template "dataCases" cases "" "int(u.pc)" true false true ""}}
 			}
 		}
 
 		switch b.term {
 		case ftFall:
-			{{template "fallThrough" cases "" "" true .Prof false false ""}}
+			{{template "fallThrough" cases "" "" true false false ""}}
 		case ftExit:
 			insts++
 			m.halted = true
@@ -1508,7 +1404,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true .Prof false false ""}}
+				{{template "dataCases" cases "" "tpc" true false false ""}}
 				}
 			}
 			bv := m.B[b.tob.br]
@@ -1523,9 +1419,8 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				if bv.viaCmp {
 					st.CondBranches++
 				}
-				{{if .Prof}}prof.notTaken(int(b.termPC))
-				{{end}}m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true .Prof false false ""}}
+				m.B[isa.RABr] = ret
+				{{template "fallThrough" cases "" "" true false false ""}}
 			} else {
 				idx := addrToIndex(bv.addr)
 				switch {
@@ -1554,7 +1449,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true .Prof false false ""}}
+				{{template "dataCases" cases "" "tpc" true false false ""}}
 				}
 			}
 			m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
@@ -1580,21 +1475,17 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			} else {
 				st.PrefetchMiss++
 			}
-			{{if .Prof}}prof.taken(int(b.termPC))
-			prof.prefetch(int(b.termPC), int64(b.distK))
-			{{end}}bi = b.taken
+			bi = b.taken
 			if bi < 0 {
 				if bi == succTrap {
 					return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
 				}
-				{{if .Prof}}prof.edge(int(b.termPC), int(b.tgt))
-				{{end}}m.pc = int(b.tgt)
+				m.pc = int(b.tgt)
 				st.Instructions = insts
 				m.Fusion.Bails++
-				return {{if .Prof}}runFastBRMProf(m, ctx, prof){{else}}m.runFastBRM(ctx){{end}}
+				return m.runFastBRM(ctx)
 			}
-			{{if .Prof}}prof.edge(int(b.termPC), int(b.tgt))
-			{{end}}case ftBrmSCond:
+			case ftBrmSCond:
 			// Transfer through a compare whose source breg the block
 			// loaded statically: the breg read degenerates to a
 			// taken/untaken test and both arms are fully resolved.
@@ -1605,15 +1496,14 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true .Prof false false ""}}
+				{{template "dataCases" cases "" "tpc" true false false ""}}
 				}
 			}
 			st.CondBranches++
 			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
 			if m.B[b.tob.br].addr == seq {
-				{{if .Prof}}prof.notTaken(int(b.termPC))
-				{{end}}m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true .Prof false false ""}}
+				m.B[isa.RABr] = ret
+				{{template "fallThrough" cases "" "" true false false ""}}
 			} else {
 				st.CondTaken++
 				m.B[isa.RABr] = ret
@@ -1634,21 +1524,17 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				} else {
 					st.PrefetchMiss++
 				}
-				{{if .Prof}}prof.taken(int(b.termPC))
-				prof.prefetch(int(b.termPC), int64(b.distK))
-				{{end}}bi = b.taken
+				bi = b.taken
 				if bi < 0 {
 					if bi == succTrap {
 						return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
 					}
-					{{if .Prof}}prof.edge(int(b.termPC), int(b.tgt))
-					{{end}}m.pc = int(b.tgt)
+					m.pc = int(b.tgt)
 					st.Instructions = insts
 					m.Fusion.Bails++
-					return {{if .Prof}}runFastBRMProf(m, ctx, prof){{else}}m.runFastBRM(ctx){{end}}
+					return m.runFastBRM(ctx)
 				}
-				{{if .Prof}}prof.edge(int(b.termPC), int(b.tgt))
-			{{end}}}
+				}
 		case ftBrmCmpBr:
 			insts++
 			now := insts
@@ -1686,7 +1572,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true .Prof false false ""}}
+				{{template "dataCases" cases "" "tpc" true false false ""}}
 				}
 			}
 			// The transfer reads b[7] as the compare left it: the fused
@@ -1694,9 +1580,8 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			st.CondBranches++
 			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
 			if bv.addr == seq {
-				{{if .Prof}}prof.notTaken(int(b.termPC))
-				{{end}}m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true .Prof false false ""}}
+				m.B[isa.RABr] = ret
+				{{template "fallThrough" cases "" "" true false false ""}}
 			} else {
 				idx := addrToIndex(bv.addr)
 				{{template "brmApplyTaken" .}}
@@ -1714,7 +1599,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true .Prof false false ""}}
+				{{template "dataCases" cases "" "tpc" true false false ""}}
 				}
 			}
 			switch b.statK {
@@ -1728,9 +1613,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				// instruction: the prefetch distance is always 1.
 				st.DistHist[1]++
 				st.PrefetchMiss++
-				{{if .Prof}}prof.taken(int(b.termPC))
-				prof.prefetch(int(b.termPC), 1)
-			{{end}}}
+				}
 			m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
 			switch {
 			case b.taken == succHalt:
@@ -1742,14 +1625,12 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			case b.taken == succTrap:
 				return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
 			case b.taken == succInner:
-				{{if .Prof}}prof.edge(int(b.termPC), int(b.tgt))
-				{{end}}m.pc = int(b.tgt)
+				m.pc = int(b.tgt)
 				st.Instructions = insts
 				m.Fusion.Bails++
-				return {{if .Prof}}runFastBRMProf(m, ctx, prof){{else}}m.runFastBRM(ctx){{end}}
+				return m.runFastBRM(ctx)
 			default:
-				{{if .Prof}}prof.edge(int(b.termPC), int(b.tgt))
-				{{end}}bi = b.taken
+				bi = b.taken
 			}
 		}
 	}

@@ -78,7 +78,6 @@ const (
 	EngineFast         = "fast"
 	EngineInstrumented = "instrumented"
 	EngineFused        = "fused"
-	EngineAdaptive     = "adaptive"
 )
 
 // Engine returns the name of the engine the last RunContext call used

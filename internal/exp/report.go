@@ -42,8 +42,10 @@ import (
 // baseline_refusion/brm_refusion objects (whether the run executed a
 // promoted form, the hot/cold block split, the mined vocabulary size and
 // warmup volume) next to the fusion counters the promoted form shares
-// with the static fused engine. Deterministic for the first adaptive run
-// of each compiled program, which is what a suite cell is.
+// with the static fused engine. The adaptive tier has since been
+// removed and no report carries those objects any more; the version
+// stays 5 because every report the harness writes is byte-for-byte what
+// it was.
 const ReportSchemaVersion = 5
 
 // Float is a float64 that survives JSON: non-finite values (the ±Inf a
@@ -354,14 +356,9 @@ type ProgramReport struct {
 	BaselineEngine string `json:"baseline_engine,omitempty"`
 	BRMEngine      string `json:"brm_engine,omitempty"`
 	// Fusion fields (schema v4) describe the block-fused engine's dynamic
-	// behavior; present exactly when the cell's engine is "fused" or
-	// "adaptive" (the promoted form runs the same fused dispatch).
+	// behavior; present exactly when the cell's engine is "fused".
 	BaselineFusion *emu.FusionStats `json:"baseline_fusion,omitempty"`
 	BRMFusion      *emu.FusionStats `json:"brm_fusion,omitempty"`
-	// Refusion fields (schema v5) describe the adaptive tier's promotion
-	// behavior; present exactly when the cell's engine is "adaptive".
-	BaselineRefusion *emu.RefusionStats `json:"baseline_refusion,omitempty"`
-	BRMRefusion      *emu.RefusionStats `json:"brm_refusion,omitempty"`
 	// Hot-block tables (schema v3, -profile runs only): the program's
 	// hottest dynamic basic blocks with paper-style branch-cost
 	// attribution.
@@ -450,21 +447,13 @@ func (a *AllResults) Report() *Report {
 				BaselineHotBlocks: p.BaselineBlocks,
 				BRMHotBlocks:      p.BRMBlocks,
 			}
-			if p.BaselineEngine == emu.EngineFused || p.BaselineEngine == emu.EngineAdaptive {
+			if p.BaselineEngine == emu.EngineFused {
 				f := p.BaselineFusion
 				pr.BaselineFusion = &f
 			}
-			if p.BRMEngine == emu.EngineFused || p.BRMEngine == emu.EngineAdaptive {
+			if p.BRMEngine == emu.EngineFused {
 				f := p.BRMFusion
 				pr.BRMFusion = &f
-			}
-			if p.BaselineEngine == emu.EngineAdaptive {
-				r := p.BaselineRefusion
-				pr.BaselineRefusion = &r
-			}
-			if p.BRMEngine == emu.EngineAdaptive {
-				r := p.BRMRefusion
-				pr.BRMRefusion = &r
 			}
 			sr.Programs = append(sr.Programs, pr)
 		}

@@ -390,14 +390,12 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*SuiteResult, error) {
 				pr.Baseline = res.Stats
 				pr.BaselineEngine = res.Engine
 				pr.BaselineFusion = res.Fusion
-				pr.BaselineRefusion = res.Refusion
 				pr.BaselineBlocks = cell.blocks
 				out.BaselineTotal.Add(&res.Stats)
 			default:
 				pr.BRM = res.Stats
 				pr.BRMEngine = res.Engine
 				pr.BRMFusion = res.Fusion
-				pr.BRMRefusion = res.Refusion
 				pr.BRMBlocks = cell.blocks
 				out.BRMTotal.Add(&res.Stats)
 			}

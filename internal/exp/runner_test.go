@@ -61,8 +61,9 @@ func TestProfiledSuiteDeterministic(t *testing.T) {
 	}
 	serial := run(1)
 	for _, p := range serial.Programs {
-		if p.BaselineEngine != "fused" || p.BRMEngine != "fused" {
-			t.Errorf("%s: engines %q/%q, want fused/fused", p.Name, p.BaselineEngine, p.BRMEngine)
+		// A profiled run takes the profiled fast loop.
+		if p.BaselineEngine != "fast" || p.BRMEngine != "fast" {
+			t.Errorf("%s: engines %q/%q, want fast/fast", p.Name, p.BaselineEngine, p.BRMEngine)
 		}
 		if len(p.BaselineBlocks) == 0 || len(p.BRMBlocks) == 0 {
 			t.Errorf("%s: missing hot blocks (%d baseline, %d BRM)",
@@ -99,30 +100,21 @@ func TestSuiteEngineTiersIdentical(t *testing.T) {
 	for _, tier := range []struct {
 		loop   emu.LoopMode
 		engine string
-	}{{emu.LoopFast, emu.EngineFast}, {emu.LoopFused, emu.EngineFused}, {emu.LoopAdaptive, emu.EngineAdaptive}} {
+	}{{emu.LoopFast, emu.EngineFast}, {emu.LoopFused, emu.EngineFused}} {
 		got := run(tier.loop)
 		for i := range got.Programs {
 			p := &got.Programs[i]
 			if p.BaselineEngine != tier.engine || p.BRMEngine != tier.engine {
 				t.Errorf("%s: engines %q/%q, want %q", p.Name, p.BaselineEngine, p.BRMEngine, tier.engine)
 			}
-			// Fused dispatch runs under the static fused tier always, and
-			// under the adaptive tier exactly when the cell promoted
-			// mid-run (each Runner compiles fresh programs, so every
-			// adaptive cell starts cold).
-			fusedBase, fusedBRM := tier.engine == emu.EngineFused, tier.engine == emu.EngineFused
-			if tier.engine == emu.EngineAdaptive {
-				fusedBase, fusedBRM = p.BaselineRefusion.Promoted, p.BRMRefusion.Promoted
-			}
-			if (p.BaselineFusion.Blocks > 0) != fusedBase || (p.BRMFusion.Blocks > 0) != fusedBRM {
+			fused := tier.engine == emu.EngineFused
+			if (p.BaselineFusion.Blocks > 0) != fused || (p.BRMFusion.Blocks > 0) != fused {
 				t.Errorf("%s: fusion stats %+v/%+v under %q", p.Name, p.BaselineFusion, p.BRMFusion, tier.engine)
 			}
 			// Stats must match the instrumented reference exactly; the
-			// engine, fusion, and refusion fields are the only
-			// tier-dependent state.
+			// engine and fusion fields are the only tier-dependent state.
 			p.BaselineEngine, p.BRMEngine = ref.Programs[i].BaselineEngine, ref.Programs[i].BRMEngine
 			p.BaselineFusion, p.BRMFusion = ref.Programs[i].BaselineFusion, ref.Programs[i].BRMFusion
-			p.BaselineRefusion, p.BRMRefusion = ref.Programs[i].BaselineRefusion, ref.Programs[i].BRMRefusion
 		}
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("loop %d: SuiteResult differs from instrumented reference", tier.loop)

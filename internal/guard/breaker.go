@@ -1,9 +1,6 @@
 package guard
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // The circuit breaker is per (workload class, engine tier). Its job is
 // containment: once a tier has proven unreliable for a class, stop
@@ -19,6 +16,12 @@ import (
 // A shadow-verification mismatch skips the counting and trips the
 // breaker straight to open (quarantine): a wrong answer is categorically
 // worse than a crash, because nothing downstream would have noticed.
+//
+// The supervisor keeps a breaker only while it carries state: a key
+// with no entry is closed with no failures, and an entry that returns
+// to that state is dropped. So traffic that brings a new class with
+// every request (new source) leaves no breakers behind unless its tiers
+// fail.
 
 type breakerKey struct {
 	class string
@@ -33,11 +36,11 @@ const (
 	stHalfOpen
 )
 
-// breaker is one (class, tier) circuit. All methods are safe for
-// concurrent use; the supervisor owns transition metrics and incident
-// recording, keyed off the boolean "a transition happened" returns.
+// breaker is one (class, tier) circuit. Its methods run under the
+// supervisor's mutex, which also guards the map holding it; the
+// supervisor owns transition metrics and incident recording, keyed off
+// the boolean "a transition happened" returns.
 type breaker struct {
-	mu      sync.Mutex
 	state   breakerState
 	fails   int       // consecutive failures while closed
 	until   time.Time // when an open breaker may probe
@@ -56,8 +59,6 @@ const (
 // execute normally (closed), skip to the next tier (open, or another
 // probe already in flight), or execute as the half-open probe.
 func (b *breaker) admit(now time.Time) admitDecision {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	switch b.state {
 	case stClosed:
 		return admitYes
@@ -80,8 +81,6 @@ func (b *breaker) admit(now time.Time) admitDecision {
 // success records a healthy execution. It returns true when this was
 // the half-open probe that closed the breaker.
 func (b *breaker) success(probe bool) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if probe {
 		b.probing = false
 	}
@@ -100,8 +99,6 @@ func (b *breaker) success(probe bool) bool {
 // transitioned to open — either the threshold'th consecutive failure
 // while closed, or a failed half-open probe.
 func (b *breaker) failure(now time.Time, probe bool, threshold int, cooldown time.Duration) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if probe {
 		b.probing = false
 	}
@@ -129,8 +126,6 @@ func (b *breaker) failure(now time.Time, probe bool, threshold int, cooldown tim
 // trip force-opens the breaker (shadow-mismatch quarantine). It returns
 // true when the breaker was not already open.
 func (b *breaker) trip(now time.Time, cooldown time.Duration) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	was := b.state
 	b.state = stOpen
 	b.until = now.Add(cooldown)
@@ -141,7 +136,11 @@ func (b *breaker) trip(now time.Time, cooldown time.Duration) bool {
 
 // isClosed reports whether the breaker is in its healthy state.
 func (b *breaker) isClosed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.state == stClosed
+}
+
+// idle reports whether the breaker is indistinguishable from a fresh
+// one: closed, no failures counted, no probe in flight.
+func (b *breaker) idle() bool {
+	return b.state == stClosed && b.fails == 0 && !b.probing
 }

@@ -5,9 +5,11 @@
 //
 // The block-fused engine is the most aggressive — and therefore the
 // most bug-prone — execution tier. guard assumes exactly that: a
-// recovered panic in one tier transparently retries the same
-// driver.Request on the next-safer tier (fused → fast → instrumented),
-// annotating the result with the tier that actually served it. N
+// recovered panic in the serving tier transparently retries the same
+// driver.Request on the instrumented reference loop (fused →
+// instrumented, or fast → instrumented for requests that ask for the
+// fast loop), annotating the result with the tier that actually served
+// it. N
 // consecutive failures of a tier for one workload class open that
 // class's breaker, pinning it to the fallback tier for a cooldown with
 // half-open probing to close it again. A configurable sample of
@@ -156,8 +158,8 @@ type Supervisor struct {
 	now func() time.Time
 
 	mu       sync.Mutex
-	breakers map[breakerKey]*breaker
-	shadowN  map[string]int64 // per-class sampled-execution counters
+	breakers map[breakerKey]*breaker // only breakers that carry state
+	shadowN  sampleCounters          // per-class executed-request counters
 
 	shadow *shadowPool
 }
@@ -199,7 +201,7 @@ func New(cfg Config) *Supervisor {
 		log:      newIncidentLog(cfg.IncidentCap),
 		now:      cfg.Now,
 		breakers: map[breakerKey]*breaker{},
-		shadowN:  map[string]int64{},
+		shadowN:  newSampleCounters(shadowClassCap),
 	}
 	if cfg.ShadowRate > 0 {
 		s.shadow = newShadowPool(s, cfg.ShadowWorkers, cfg.ShadowQueue)
@@ -223,8 +225,6 @@ func (s *Supervisor) Incidents() ([]Incident, int64) { return s.log.snapshot() }
 // tierName maps an engine tier to its emu engine name.
 func tierName(mode emu.LoopMode) string {
 	switch mode {
-	case emu.LoopAdaptive:
-		return emu.EngineAdaptive
 	case emu.LoopFused:
 		return emu.EngineFused
 	case emu.LoopFast:
@@ -234,23 +234,18 @@ func tierName(mode emu.LoopMode) string {
 	}
 }
 
-// chainFor resolves a request's engine-tier fallback chain. Requests
-// the chain model cannot honor — armed fault plans or profile capture,
-// which force (or are only honored by) specific engine behavior —
-// return nil and execute passthrough, exactly once, with Loop
-// untouched.
+// chainFor resolves a request's engine-tier fallback chain: the serving
+// tier, then the instrumented reference. Requests the chain model cannot
+// honor — armed fault plans or profile capture, which force (or are only
+// honored by) specific engine behavior — return nil and execute
+// passthrough, exactly once, with Loop untouched.
 func chainFor(req *driver.Request) []emu.LoopMode {
 	if req.Faults != nil || req.Profile != nil {
 		return nil
 	}
 	switch req.Loop {
-	case emu.LoopAuto, emu.LoopAdaptive:
-		// Default (and explicitly adaptive) requests lead with the
-		// adaptive tier: brserve's long-lived cached programs are exactly
-		// the regime where runtime re-fusion amortizes its warmup.
-		return []emu.LoopMode{emu.LoopAdaptive, emu.LoopFused, emu.LoopFast, emu.LoopInstrumented}
-	case emu.LoopFused:
-		return []emu.LoopMode{emu.LoopFused, emu.LoopFast, emu.LoopInstrumented}
+	case emu.LoopAuto, emu.LoopFused: // emu.LoopAdaptive is LoopFused
+		return []emu.LoopMode{emu.LoopFused, emu.LoopInstrumented}
 	case emu.LoopFast:
 		return []emu.LoopMode{emu.LoopFast, emu.LoopInstrumented}
 	default:
@@ -317,13 +312,13 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 	for i, tier := range chain {
 		name := tierName(tier)
 		last := i == len(chain)-1
-		var br *breaker
+		// The last tier is the safety net: it executes regardless of
+		// breaker state, because skipping it would leave nowhere to go.
+		guarded := !last
+		key := breakerKey{class: class, tier: name}
 		probe := false
-		if !last {
-			// The last tier is the safety net: it executes regardless of
-			// breaker state, because skipping it would leave nowhere to go.
-			br = s.breakerFor(class, name)
-			switch br.admit(s.now()) {
+		if guarded {
+			switch s.admit(key) {
 			case admitSkip:
 				s.m.breakerReroute.Inc()
 				rerouted = true
@@ -351,13 +346,11 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 		}
 		if err == nil {
 			sp.SetArg("outcome", "ok")
-			if br != nil {
-				if br.success(probe) {
-					s.m.breakerClose.Inc()
-					s.m.breakerOpenNow.Set(s.openBreakers())
-					s.record(IncidentBreakerClose, class, name,
-						"half-open probe succeeded; breaker closed")
-				}
+			if guarded && s.succeed(key, probe) {
+				s.m.breakerClose.Inc()
+				s.m.breakerOpenNow.Set(s.openBreakers())
+				s.record(IncidentBreakerClose, class, name,
+					"half-open probe succeeded; breaker closed")
 			}
 			if len(fellFrom) > 0 {
 				s.m.fallbackSuccess.Inc()
@@ -375,7 +368,7 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 			// A deterministic outcome (trap, compile error, caller's
 			// deadline): the tier functioned, so a probe may close the
 			// breaker, and the error goes straight back to the caller.
-			if br != nil && br.success(probe) {
+			if guarded && s.succeed(key, probe) {
 				s.m.breakerClose.Inc()
 				s.m.breakerOpenNow.Set(s.openBreakers())
 				s.record(IncidentBreakerClose, class, name,
@@ -383,7 +376,7 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 			}
 			return nil, err
 		}
-		if br != nil && br.failure(s.now(), probe, s.cfg.Threshold, s.cfg.Cooldown) {
+		if guarded && s.fail(key, probe) {
 			s.m.breakerOpen.Inc()
 			s.m.breakerOpenNow.Set(s.openBreakers())
 			s.record(IncidentBreakerOpen, class, name,
@@ -405,13 +398,45 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 	return nil, fmt.Errorf("guard: tier chain exhausted without a terminal attempt")
 }
 
-// breakerFor returns the (class, tier) breaker, creating it on first use.
-func (s *Supervisor) breakerFor(class, tier string) *breaker {
-	key := breakerKey{class: class, tier: tier}
+// admit asks the key's breaker what this request may do with its tier.
+// A key without an entry is a closed breaker with no failures.
+func (s *Supervisor) admit(key breakerKey) admitDecision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.breakers[key]
-	if !ok {
+	if b := s.breakers[key]; b != nil {
+		return b.admit(s.now())
+	}
+	return admitYes
+}
+
+// succeed records a healthy execution on the key's tier and reports
+// whether it was the half-open probe that closed the breaker. A breaker
+// left idle is dropped.
+func (s *Supervisor) succeed(key breakerKey, probe bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.breakers[key]
+	if b == nil {
+		return false
+	}
+	closed := b.success(probe)
+	if b.idle() {
+		delete(s.breakers, key)
+	}
+	return closed
+}
+
+// fail records a tier fault and reports whether the breaker opened.
+func (s *Supervisor) fail(key breakerKey, probe bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.breakerLocked(key).failure(s.now(), probe, s.cfg.Threshold, s.cfg.Cooldown)
+}
+
+// breakerLocked returns the key's breaker, creating it; s.mu is held.
+func (s *Supervisor) breakerLocked(key breakerKey) *breaker {
+	b := s.breakers[key]
+	if b == nil {
 		b = &breaker{}
 		s.breakers[key] = b
 	}
@@ -435,8 +460,10 @@ func (s *Supervisor) openBreakers() int64 {
 // verifier's response to a differential mismatch, exported so tests and
 // operators can quarantine a suspect pair directly.
 func (s *Supervisor) Quarantine(class, tier, reason string) {
-	b := s.breakerFor(class, tier)
-	if b.trip(s.now(), s.cfg.Cooldown) {
+	s.mu.Lock()
+	tripped := s.breakerLocked(breakerKey{class: class, tier: tier}).trip(s.now(), s.cfg.Cooldown)
+	s.mu.Unlock()
+	if tripped {
 		s.m.breakerOpen.Inc()
 	}
 	s.m.breakerOpenNow.Set(s.openBreakers())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,10 +65,10 @@ func counter(r *obs.Registry, name string) int64 {
 	return r.Counter(name).Value()
 }
 
-func TestFallbackRescuesAdaptivePanic(t *testing.T) {
+func TestFallbackRescuesFusedPanic(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{
-		Exec:    tierExec(map[emu.LoopMode]func() (*driver.Result, error){emu.LoopAdaptive: panicOn}),
+		Exec:    tierExec(map[emu.LoopMode]func() (*driver.Result, error){emu.LoopFused: panicOn}),
 		Metrics: reg,
 	})
 	defer s.Close()
@@ -76,11 +77,11 @@ func TestFallbackRescuesAdaptivePanic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
-	if out.Tier != emu.EngineFused {
-		t.Errorf("Tier = %q, want %q", out.Tier, emu.EngineFused)
+	if out.Tier != emu.EngineInstrumented {
+		t.Errorf("Tier = %q, want %q", out.Tier, emu.EngineInstrumented)
 	}
-	if len(out.FallbackFrom) != 1 || out.FallbackFrom[0] != emu.EngineAdaptive {
-		t.Errorf("FallbackFrom = %v, want [adaptive]", out.FallbackFrom)
+	if len(out.FallbackFrom) != 1 || out.FallbackFrom[0] != emu.EngineFused {
+		t.Errorf("FallbackFrom = %v, want [fused]", out.FallbackFrom)
 	}
 	if out.Rerouted {
 		t.Error("Rerouted = true on a first-try fallback")
@@ -97,7 +98,6 @@ func TestFallbackExhausted(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{
 		Exec: tierExec(map[emu.LoopMode]func() (*driver.Result, error){
-			emu.LoopAdaptive:     panicOn,
 			emu.LoopFused:        panicOn,
 			emu.LoopFast:         panicOn,
 			emu.LoopInstrumented: panicOn,
@@ -127,11 +127,11 @@ func TestFallbackExhausted(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := newFakeClock()
-	var adaptiveHealthy atomic.Bool
+	var fusedHealthy atomic.Bool
 	exec := tierExec(map[emu.LoopMode]func() (*driver.Result, error){
-		emu.LoopAdaptive: func() (*driver.Result, error) {
-			if adaptiveHealthy.Load() {
-				return &driver.Result{Output: "ok", Engine: emu.EngineAdaptive}, nil
+		emu.LoopFused: func() (*driver.Result, error) {
+			if fusedHealthy.Load() {
+				return &driver.Result{Output: "ok", Engine: emu.EngineFused}, nil
 			}
 			panic("injected engine bug")
 		},
@@ -142,12 +142,12 @@ func TestBreakerLifecycle(t *testing.T) {
 	ctx := context.Background()
 	class := "sieve/branchreg"
 
-	// Three consecutive adaptive panics: every request is rescued by the
-	// fused tier, and the third opens the breaker.
+	// Three consecutive fused panics: every request is rescued by the
+	// instrumented tier, and the third opens the breaker.
 	for i := 0; i < 3; i++ {
 		out, err := s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
-		if err != nil || out.Tier != emu.EngineFused {
-			t.Fatalf("request %d: out=%+v err=%v, want fused-tier rescue", i, out, err)
+		if err != nil || out.Tier != emu.EngineInstrumented {
+			t.Fatalf("request %d: out=%+v err=%v, want instrumented-tier rescue", i, out, err)
 		}
 	}
 	if n := counter(reg, "guard.breaker.open"); n != 1 {
@@ -157,13 +157,13 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Errorf("guard.breaker.open_now = %d, want 1", n)
 	}
 
-	// Open: the adaptive tier is skipped without being attempted.
+	// Open: the fused tier is skipped without being attempted.
 	out, err := s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rerouted || out.Tier != emu.EngineFused || len(out.FallbackFrom) != 0 {
-		t.Fatalf("open breaker: got %+v, want rerouted fused-tier result with no fallback", out)
+	if !out.Rerouted || out.Tier != emu.EngineInstrumented || len(out.FallbackFrom) != 0 {
+		t.Fatalf("open breaker: got %+v, want rerouted instrumented-tier result with no fallback", out)
 	}
 	if n := counter(reg, "guard.breaker.reroute"); n != 1 {
 		t.Errorf("guard.breaker.reroute = %d, want 1", n)
@@ -177,11 +177,11 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Cooldown elapses and the engine is healthy again: the next request
 	// probes half-open, succeeds, and closes the breaker.
-	adaptiveHealthy.Store(true)
+	fusedHealthy.Store(true)
 	clock.advance(cooldown + time.Second)
 	out, err = s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
-	if err != nil || out.Tier != emu.EngineAdaptive {
-		t.Fatalf("probe: out=%+v err=%v, want adaptive-tier success", out, err)
+	if err != nil || out.Tier != emu.EngineFused {
+		t.Fatalf("probe: out=%+v err=%v, want fused-tier success", out, err)
 	}
 	if n := counter(reg, "guard.breaker.half_open"); n != 1 {
 		t.Errorf("guard.breaker.half_open = %d, want 1", n)
@@ -203,7 +203,7 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := newFakeClock()
-	exec := tierExec(map[emu.LoopMode]func() (*driver.Result, error){emu.LoopAdaptive: panicOn})
+	exec := tierExec(map[emu.LoopMode]func() (*driver.Result, error){emu.LoopFused: panicOn})
 	const cooldown = time.Minute
 	s := New(Config{Exec: exec, Threshold: 2, Cooldown: cooldown, Metrics: reg, Now: clock.now})
 	defer s.Close()
@@ -296,13 +296,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // records an incident and immediately quarantines the served tier.
 func TestShadowMismatchQuarantines(t *testing.T) {
 	reg := obs.NewRegistry()
-	// The adaptive tier answers "AA", every other tier "BB": every shadow
-	// of an adaptive response mismatches.
+	// The fused tier answers "AA", every other tier "BB": every shadow
+	// of a fused response mismatches.
 	exec := ExecFunc(func(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
-		if req.Loop == emu.LoopAdaptive {
-			return &driver.Result{Output: "AA", Engine: emu.EngineAdaptive}, nil
+		if req.Loop == emu.LoopFused {
+			return &driver.Result{Output: "AA", Engine: emu.EngineFused}, nil
 		}
-		return &driver.Result{Output: "BB", Engine: emu.EngineFused}, nil
+		return &driver.Result{Output: "BB", Engine: tierName(req.Loop)}, nil
 	})
 	s := New(Config{Exec: exec, ShadowRate: 1, Metrics: reg})
 	defer s.Close()
@@ -310,8 +310,8 @@ func TestShadowMismatchQuarantines(t *testing.T) {
 	class := "wordcount/branchreg"
 
 	out, err := s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
-	if err != nil || out.Tier != emu.EngineAdaptive {
-		t.Fatalf("primary: out=%+v err=%v, want adaptive success", out, err)
+	if err != nil || out.Tier != emu.EngineFused {
+		t.Fatalf("primary: out=%+v err=%v, want fused success", out, err)
 	}
 	waitFor(t, "shadow mismatch", func() bool { return counter(reg, "guard.shadow.mismatch") >= 1 })
 
@@ -319,13 +319,13 @@ func TestShadowMismatchQuarantines(t *testing.T) {
 	if kinds[IncidentShadowMismatch] < 1 || kinds[IncidentBreakerOpen] < 1 {
 		t.Fatalf("incidents = %v, want shadow-mismatch plus quarantine breaker-open", kinds)
 	}
-	// The quarantine reroutes the class off the adaptive tier at once.
+	// The quarantine reroutes the class off the fused tier at once.
 	out, err = s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rerouted || out.Tier != emu.EngineFused {
-		t.Fatalf("post-quarantine: got %+v, want rerouted fused-tier result", out)
+	if !out.Rerouted || out.Tier != emu.EngineInstrumented {
+		t.Fatalf("post-quarantine: got %+v, want rerouted instrumented-tier result", out)
 	}
 }
 
@@ -385,13 +385,13 @@ func TestIncidentRingBounded(t *testing.T) {
 }
 
 // TestSupervisorConcurrentChaos hammers one supervisor from many
-// goroutines while the adaptive tier panics intermittently — run under
+// goroutines while the fused tier panics intermittently — run under
 // -race, every request must still be rescued.
 func TestSupervisorConcurrentChaos(t *testing.T) {
 	reg := obs.NewRegistry()
 	var n atomic.Int64
 	exec := ExecFunc(func(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
-		if req.Loop == emu.LoopAdaptive && n.Add(1)%3 == 0 {
+		if req.Loop == emu.LoopFused && n.Add(1)%3 == 0 {
 			panic("intermittent engine bug")
 		}
 		return &driver.Result{Output: "ok:" + class, Engine: tierName(req.Loop)}, nil
@@ -478,13 +478,125 @@ func TestQuarantineNotifiesHook(t *testing.T) {
 	})
 	defer s.Close()
 
-	s.Quarantine("sieve/branchreg", emu.EngineAdaptive, "test quarantine")
+	s.Quarantine("sieve/branchreg", emu.EngineFused, "test quarantine")
 	select {
 	case q := <-got:
-		if q.class != "sieve/branchreg" || q.tier != emu.EngineAdaptive {
-			t.Errorf("hook got (%q, %q), want (sieve/branchreg, adaptive)", q.class, q.tier)
+		if q.class != "sieve/branchreg" || q.tier != emu.EngineFused {
+			t.Errorf("hook got (%q, %q), want (sieve/branchreg, fused)", q.class, q.tier)
 		}
 	default:
 		t.Error("Quarantine did not invoke OnQuarantine")
+	}
+}
+
+// TestChainsHaveTwoTiers: every chain is the serving tier followed by
+// the instrumented reference, and the deprecated adaptive name serves
+// on the fused engine.
+func TestChainsHaveTwoTiers(t *testing.T) {
+	for _, c := range []struct {
+		loop emu.LoopMode
+		want []emu.LoopMode
+	}{
+		{emu.LoopAuto, []emu.LoopMode{emu.LoopFused, emu.LoopInstrumented}},
+		{emu.LoopFused, []emu.LoopMode{emu.LoopFused, emu.LoopInstrumented}},
+		{emu.LoopAdaptive, []emu.LoopMode{emu.LoopFused, emu.LoopInstrumented}},
+		{emu.LoopFast, []emu.LoopMode{emu.LoopFast, emu.LoopInstrumented}},
+		{emu.LoopInstrumented, []emu.LoopMode{emu.LoopInstrumented}},
+	} {
+		got := chainFor(&driver.Request{Loop: c.loop})
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("chainFor(%v) = %v, want %v", c.loop, got, c.want)
+		}
+	}
+}
+
+// TestSupervisorStateBoundedOnNewClasses: traffic that brings a new
+// class with every request (brserve's new-source regime) must not grow
+// the breaker map or the shadow sample counters without bound, while
+// breakers that carry state — failures counted, open, quarantined —
+// survive the flood.
+func TestSupervisorStateBoundedOnNewClasses(t *testing.T) {
+	reg := obs.NewRegistry()
+	exec := ExecFunc(func(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
+		if req.Loop == emu.LoopFused && strings.HasPrefix(class, "bad") {
+			panic("injected engine bug")
+		}
+		return &driver.Result{Output: "ok", Engine: tierName(req.Loop)}, nil
+	})
+	s := New(Config{Exec: exec, Threshold: 2, Cooldown: time.Hour, ShadowRate: 2, Metrics: reg})
+	defer s.Close()
+	ctx := context.Background()
+	auto := driver.Request{Loop: emu.LoopAuto}
+
+	// bad-open fails twice (breaker opens), bad-once fails once (one
+	// failure counted), and quarantined is force-opened.
+	for _, class := range []string{"bad-open/branchreg", "bad-open/branchreg", "bad-once/branchreg"} {
+		if _, err := s.Exec(ctx, class, auto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Quarantine("quarantined/branchreg", emu.EngineFused, "test quarantine")
+
+	const classes = 10_000
+	for i := 0; i < classes; i++ {
+		if _, err := s.Exec(ctx, fmt.Sprintf("src:%d/branchreg", i), auto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	breakers, counters := len(s.breakers), s.shadowN.len()
+	_, failing := s.breakers[breakerKey{class: "bad-once/branchreg", tier: emu.EngineFused}]
+	s.mu.Unlock()
+	if breakers != 3 {
+		t.Errorf("breakers = %d after %d all-successful classes, want the 3 that carry state", breakers, classes)
+	}
+	if !failing {
+		t.Error("a breaker with a counted failure was dropped")
+	}
+	if counters > 2*shadowClassCap {
+		t.Errorf("shadow counters hold %d classes, want at most %d", counters, 2*shadowClassCap)
+	}
+	for _, class := range []string{"bad-open/branchreg", "quarantined/branchreg"} {
+		out, err := s.Exec(ctx, class, auto)
+		if err != nil || !out.Rerouted {
+			t.Errorf("%s after the flood: out=%+v err=%v, want rerouted past its open breaker", class, out, err)
+		}
+	}
+	if n := counter(reg, "guard.shadow.sampled"); n != 0 {
+		t.Errorf("guard.shadow.sampled = %d, want 0: no class executed twice", n)
+	}
+
+	// Sampling stays per class and deterministic for a class that keeps
+	// executing: at rate 2 its second execution is sampled.
+	for i := 0; i < 2; i++ {
+		if _, err := s.Exec(ctx, "steady/branchreg", auto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := counter(reg, "guard.shadow.sampled"); n != 1 {
+		t.Errorf("guard.shadow.sampled = %d after two executions of one class at rate 2, want 1", n)
+	}
+}
+
+// TestSampleCountersKeepRecentClasses pins the two-generation counter:
+// a class keeps its count while fewer than cap other distinct classes
+// executed since it last did, and the counters never exceed 2×cap.
+func TestSampleCountersKeepRecentClasses(t *testing.T) {
+	c := newSampleCounters(4)
+	c.next("a")
+	for i := 0; i < 3; i++ {
+		c.next(fmt.Sprint(i))
+	}
+	if n := c.next("a"); n != 2 {
+		t.Errorf("count of a recent class = %d, want 2", n)
+	}
+	for i := 0; i < 100; i++ {
+		c.next(fmt.Sprint("x", i))
+		if c.len() > 8 {
+			t.Fatalf("counters hold %d classes, want at most 8", c.len())
+		}
+	}
+	if n := c.next("a"); n != 1 {
+		t.Errorf("count of a class unseen for 100 classes = %d, want a restart at 1", n)
 	}
 }

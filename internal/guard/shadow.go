@@ -92,8 +92,6 @@ func (p *shadowPool) worker() {
 // tier exists; the instrumented loop is the reference semantics).
 func altTier(mode emu.LoopMode) (emu.LoopMode, bool) {
 	switch mode {
-	case emu.LoopAdaptive:
-		return emu.LoopFused, true
 	case emu.LoopFused:
 		return emu.LoopFast, true
 	case emu.LoopFast:
@@ -102,6 +100,45 @@ func altTier(mode emu.LoopMode) (emu.LoopMode, bool) {
 		return 0, false
 	}
 }
+
+// shadowClassCap bounds the per-class sample counters: the counters of
+// the last shadowClassCap to 2×shadowClassCap distinct classes are kept.
+// brserve's fixed workload classes always fit; new-source traffic (one
+// class per distinct source) cannot grow the counters without bound.
+const shadowClassCap = 4096
+
+// sampleCounters counts executions per class in two generations. A
+// class missing from the current generation inherits its count from the
+// previous one; when the current generation fills, it becomes the
+// previous one and the oldest generation is dropped. Sampling therefore
+// stays a pure function of the sequence of executed classes, and a
+// class's count restarts only after shadowClassCap other distinct
+// classes have executed since it last did.
+type sampleCounters struct {
+	cap       int
+	cur, prev map[string]int64
+}
+
+func newSampleCounters(cap int) sampleCounters {
+	return sampleCounters{cap: cap, cur: map[string]int64{}}
+}
+
+// next counts one execution of class and returns its running count.
+func (c *sampleCounters) next(class string) int64 {
+	n, ok := c.cur[class]
+	if !ok {
+		n = c.prev[class]
+		if len(c.cur) >= c.cap {
+			c.prev, c.cur = c.cur, map[string]int64{}
+		}
+	}
+	n++
+	c.cur[class] = n
+	return n
+}
+
+// len returns the number of classes the counters hold.
+func (c *sampleCounters) len() int { return len(c.cur) + len(c.prev) }
 
 // maybeShadow samples a successful execution for shadow verification.
 // Sampling is a deterministic per-class counter — every ShadowRate'th
@@ -124,8 +161,7 @@ func (s *Supervisor) maybeShadow(class string, req driver.Request, tier emu.Loop
 		return false
 	}
 	s.mu.Lock()
-	s.shadowN[class]++
-	due := s.shadowN[class]%int64(s.cfg.ShadowRate) == 0
+	due := s.shadowN.next(class)%int64(s.cfg.ShadowRate) == 0
 	s.mu.Unlock()
 	if !due {
 		return false

@@ -2,10 +2,21 @@ package mc
 
 import "fmt"
 
+// MaxNesting is the nesting budget: how deeply statements, expressions,
+// initializers and declarator types may nest. The checker and every
+// later phase walk the tree recursively, so a source nested past the
+// budget is rejected here, with a positioned error, instead of
+// exhausting the goroutine stack (a fatal error no recover() catches).
+// A parenthesis, a unary operator and each operator of a left-deep
+// chain count one level, so an N-term chain is N deep. The deepest of
+// the 19 workloads nests 17 levels.
+const MaxNesting = 256
+
 // Parser builds an AST from tokens.
 type Parser struct {
 	toks []Token
 	pos  int
+	nest int // nesting depth at the current token (see MaxNesting)
 }
 
 // Parse parses a complete MC translation unit.
@@ -54,6 +65,34 @@ func (p *Parser) errHere(format string, args ...interface{}) error {
 	return errAt(t.Line, t.Col, format, args...)
 }
 
+// enter descends one nesting level at token t, failing past MaxNesting.
+// The caller restores p.nest when it is done with the level; a failed
+// parse abandons p.nest with the rest of the parser.
+func (p *Parser) enter(t Token) error {
+	p.nest++
+	if p.nest > MaxNesting {
+		return errAt(t.Line, t.Col, "nesting exceeds %d", MaxNesting)
+	}
+	return nil
+}
+
+// leave undoes one enter.
+func (p *Parser) leave() { p.nest-- }
+
+// pointers applies a declarator's '*' prefixes to typ. Each counts as a
+// nesting level.
+func (p *Parser) pointers(typ *Type) (*Type, error) {
+	nest := p.nest
+	for p.atPunct("*") {
+		if err := p.enter(p.next()); err != nil {
+			return nil, err
+		}
+		typ = PtrTo(typ)
+	}
+	p.nest = nest
+	return typ, nil
+}
+
 // atTypeName reports whether the current token begins a type.
 func (p *Parser) atTypeName() bool {
 	return p.atKeyword("int") || p.atKeyword("char") || p.atKeyword("float") || p.atKeyword("void")
@@ -86,9 +125,9 @@ func (p *Parser) parseUnit() (*Unit, error) {
 		if err != nil {
 			return nil, err
 		}
-		typ := base
-		for p.accept(TokPunct, "*") {
-			typ = PtrTo(typ)
+		typ, err := p.pointers(base)
+		if err != nil {
+			return nil, err
 		}
 		nameTok, err := p.expect(TokIdent, "")
 		if err != nil {
@@ -131,9 +170,9 @@ func (p *Parser) parseVarDeclRest(base, typ *Type, nameTok Token) ([]*VarDecl, e
 		}
 		out = append(out, d)
 		if p.accept(TokPunct, ",") {
-			typ = base
-			for p.accept(TokPunct, "*") {
-				typ = PtrTo(typ)
+			typ, err = p.pointers(base)
+			if err != nil {
+				return nil, err
 			}
 			nameTok, err = p.expect(TokIdent, "")
 			if err != nil {
@@ -150,7 +189,11 @@ func (p *Parser) parseVarDeclRest(base, typ *Type, nameTok Token) ([]*VarDecl, e
 
 func (p *Parser) parseArraySuffix(typ *Type) (*Type, error) {
 	var dims []int
-	for p.accept(TokPunct, "[") {
+	nest := p.nest
+	for p.atPunct("[") {
+		if err := p.enter(p.next()); err != nil {
+			return nil, err
+		}
 		t, err := p.expect(TokInt, "")
 		if err != nil {
 			return nil, err
@@ -163,6 +206,7 @@ func (p *Parser) parseArraySuffix(typ *Type) (*Type, error) {
 			return nil, err
 		}
 	}
+	p.nest = nest
 	for i := len(dims) - 1; i >= 0; i-- {
 		typ = ArrayOf(typ, dims[i])
 	}
@@ -171,6 +215,10 @@ func (p *Parser) parseArraySuffix(typ *Type) (*Type, error) {
 
 func (p *Parser) parseInitializer() (*Initializer, error) {
 	t := p.cur()
+	if err := p.enter(t); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if p.accept(TokPunct, "{") {
 		init := &Initializer{pos: pos{t.Line, t.Col}}
 		for !p.atPunct("}") {
@@ -209,16 +257,20 @@ func (p *Parser) parseFuncRest(ret *Type, nameTok Token) (*FuncDecl, error) {
 				if err != nil {
 					return nil, err
 				}
-				typ := base
-				for p.accept(TokPunct, "*") {
-					typ = PtrTo(typ)
+				typ, err := p.pointers(base)
+				if err != nil {
+					return nil, err
 				}
 				pt, err := p.expect(TokIdent, "")
 				if err != nil {
 					return nil, err
 				}
 				// T name[] means pointer parameter.
-				for p.accept(TokPunct, "[") {
+				nest := p.nest
+				for p.atPunct("[") {
+					if err := p.enter(p.next()); err != nil {
+						return nil, err
+					}
 					if p.cur().Kind == TokInt {
 						p.next() // size ignored for params
 					}
@@ -227,6 +279,7 @@ func (p *Parser) parseFuncRest(ret *Type, nameTok Token) (*FuncDecl, error) {
 					}
 					typ = PtrTo(typ)
 				}
+				p.nest = nest
 				fn.Params = append(fn.Params, &Param{pos: pos{pt.Line, pt.Col}, Name: pt.Text, Type: typ})
 				if !p.accept(TokPunct, ",") {
 					break
@@ -267,6 +320,10 @@ func (p *Parser) parseBlock() (*Block, error) {
 
 func (p *Parser) parseStmt() (Stmt, error) {
 	t := p.cur()
+	if err := p.enter(t); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch {
 	case p.atPunct("{"):
 		return p.parseBlock()
@@ -328,9 +385,9 @@ func (p *Parser) parseLocalDecl() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	typ := base
-	for p.accept(TokPunct, "*") {
-		typ = PtrTo(typ)
+	typ, err := p.pointers(base)
+	if err != nil {
+		return nil, err
 	}
 	nameTok, err := p.expect(TokIdent, "")
 	if err != nil {
@@ -530,6 +587,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *Parser) parseAssign() (Expr, error) {
+	if err := p.enter(p.cur()); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	l, err := p.parseTernary()
 	if err != nil {
 		return nil, err
@@ -560,10 +621,14 @@ func (p *Parser) parseTernary() (Expr, error) {
 		if _, err := p.expect(TokPunct, ":"); err != nil {
 			return nil, err
 		}
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
 		fv, err := p.parseTernary()
 		if err != nil {
 			return nil, err
 		}
+		p.leave()
 		return &CondExpr{exprBase: exprBase{pos: pos{t.Line, t.Col}}, C: c, T: tv, F: fv}, nil
 	}
 	return c, nil
@@ -591,6 +656,8 @@ func (p *Parser) parseBinary(level int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each operator wraps everything parsed so far one level deeper.
+	nest := p.nest
 	for {
 		t := p.cur()
 		matched := false
@@ -603,9 +670,12 @@ func (p *Parser) parseBinary(level int) (Expr, error) {
 			}
 		}
 		if !matched {
+			p.nest = nest
 			return l, nil
 		}
-		p.next()
+		if err := p.enter(p.next()); err != nil {
+			return nil, err
+		}
 		r, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
@@ -619,11 +689,14 @@ func (p *Parser) parseUnary() (Expr, error) {
 	if t.Kind == TokPunct {
 		switch t.Text {
 		case "!", "~", "-", "+", "*", "&", "++", "--":
-			p.next()
+			if err := p.enter(p.next()); err != nil {
+				return nil, err
+			}
 			x, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
+			p.leave()
 			if t.Text == "+" {
 				return x, nil
 			}
@@ -636,17 +709,21 @@ func (p *Parser) parseUnary() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				typ := base
-				for p.accept(TokPunct, "*") {
-					typ = PtrTo(typ)
+				typ, err := p.pointers(base)
+				if err != nil {
+					return nil, err
 				}
 				if _, err := p.expect(TokPunct, ")"); err != nil {
+					return nil, err
+				}
+				if err := p.enter(t); err != nil {
 					return nil, err
 				}
 				x, err := p.parseUnary()
 				if err != nil {
 					return nil, err
 				}
+				p.leave()
 				return &Cast{exprBase: exprBase{pos: pos{t.Line, t.Col}}, To: typ, X: x}, nil
 			}
 		}
@@ -663,8 +740,15 @@ func (p *Parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each postfix operator wraps x one level deeper.
+	nest := p.nest
 	for {
 		t := p.cur()
+		if p.atPunct("[") || p.atPunct("(") || p.atPunct("++") || p.atPunct("--") {
+			if err := p.enter(t); err != nil {
+				return nil, err
+			}
+		}
 		switch {
 		case p.accept(TokPunct, "["):
 			i, err := p.parseExpr()
@@ -695,6 +779,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			p.next()
 			x = &Postfix{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Op: t.Text, X: x}
 		default:
+			p.nest = nest
 			return x, nil
 		}
 	}

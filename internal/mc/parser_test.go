@@ -1,6 +1,11 @@
 package mc
 
-import "testing"
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func parse(t *testing.T, src string) *Unit {
 	t.Helper()
@@ -219,6 +224,50 @@ func TestParseCompoundAssign(t *testing.T) {
 		a := s.(*ExprStmt).X.(*Assign)
 		if a.Op != ops[i] {
 			t.Errorf("stmt %d op = %s, want %s", i, a.Op, ops[i])
+		}
+	}
+}
+
+// TestParseNestingBudget: every construct that nests counts against
+// MaxNesting, the budget rejects with a positioned *Error, and a source
+// just inside the budget still parses.
+func TestParseNestingBudget(t *testing.T) {
+	fn := func(body string) string { return "int main(void) { " + body + " }" }
+	chain := func(n int) string { return "return 1" + strings.Repeat(" + 1", n) + ";" }
+	parens := func(n int) string {
+		return "return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";"
+	}
+	for _, c := range []struct {
+		name, src string
+	}{
+		{"parens", fn(parens(MaxNesting))},
+		{"chain", fn(chain(MaxNesting))},
+		{"unary", fn("return " + strings.Repeat("- ", MaxNesting) + "1;")},
+		{"decrements", fn("int x; return " + strings.Repeat("--", MaxNesting) + "x;")},
+		{"assignments", fn("int x; " + strings.Repeat("x = ", MaxNesting) + "1; return x;")},
+		{"ternaries", fn("return " + strings.Repeat("1 ? 1 : ", MaxNesting) + "1;")},
+		{"blocks", fn(strings.Repeat("{", MaxNesting+1) + strings.Repeat("}", MaxNesting+1) + " return 0;")},
+		{"index", fn("int a[1]; return a" + strings.Repeat("[0]", MaxNesting) + ";")},
+		{"pointers", "int " + strings.Repeat("*", MaxNesting+1) + "p; int main(void) { return 0; }"},
+		{"dims", "int a" + strings.Repeat("[1]", MaxNesting+1) + "; int main(void) { return 0; }"},
+		{"initializer", "int a[1] = " + strings.Repeat("{", MaxNesting+1) + "1" +
+			strings.Repeat("}", MaxNesting+1) + "; int main(void) { return 0; }"},
+	} {
+		_, err := Parse(c.src)
+		var e *Error
+		if !errors.As(err, &e) || !strings.Contains(e.Msg, fmt.Sprintf("nesting exceeds %d", MaxNesting)) {
+			t.Errorf("%s: err = %v, want a positioned nesting error", c.name, err)
+			continue
+		}
+		if e.Line != 1 || e.Col <= 1 {
+			t.Errorf("%s: error at %d:%d, want the offending token's position", c.name, e.Line, e.Col)
+		}
+	}
+	// Well inside the budget: the enclosing function, statement and
+	// expression levels leave room for this much explicit nesting.
+	for _, src := range []string{fn(parens(MaxNesting - 8)), fn(chain(MaxNesting - 8))} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("source inside the budget rejected: %v", err)
 		}
 	}
 }

@@ -15,7 +15,7 @@ func TestFlightRecorderRetentionReasons(t *testing.T) {
 		{RequestRecord{ID: "ok", Status: 200, Phases: map[string]int64{"total_ns": 10}}, nil},
 		{RequestRecord{ID: "err", Status: 500}, []string{"error"}},
 		{RequestRecord{ID: "timeout", Status: 408}, []string{"error"}},
-		{RequestRecord{ID: "fb", Status: 200, FallbackFrom: []string{"adaptive"}}, []string{"fallback"}},
+		{RequestRecord{ID: "fb", Status: 200, FallbackFrom: []string{"fused"}}, []string{"fallback"}},
 		{RequestRecord{ID: "rr", Status: 200, Rerouted: true}, []string{"fallback"}},
 		{RequestRecord{ID: "slow", Status: 200, Phases: map[string]int64{"total_ns": 5000}}, []string{"slow"}},
 		{RequestRecord{ID: "422", Status: 422, Phases: map[string]int64{"total_ns": 10}}, nil},

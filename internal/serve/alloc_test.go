@@ -101,8 +101,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	}
 }
 
-// settledHeap returns the live heap once garbage collection has also
-// run the cleanups that free evicted programs' promotion state.
+// settledHeap returns the live heap after a few garbage collections.
 func settledHeap() int64 {
 	var ms runtime.MemStats
 	for i := 0; i < 3; i++ {
@@ -117,7 +116,7 @@ func settledHeap() int64 {
 // handler, as traffic that salts its programs does: every request
 // misses the compile cache. The live heap must stay within the compile
 // cache's budget plus fixed slack, where an unbounded cache grows by
-// every program it ever compiled and that program's promotion state.
+// every program it ever compiled.
 // Run without -race (`make alloc-gate`); the detector inflates the heap.
 func TestServeUniqueSourcesBoundedHeap(t *testing.T) {
 	if raceEnabled {
@@ -162,9 +161,8 @@ func TestServeUniqueSourcesBoundedHeap(t *testing.T) {
 	u := s.cache.Usage()
 	t.Logf("heap growth %.1f MiB over %d new sources; cache holds %.1f MiB, %d evictions",
 		float64(growth)/(1<<20), requests, float64(u.Bytes)/(1<<20), u.Evictions)
-	// The slack covers the resident programs' promotion state and the
-	// flight recorder's ring; it is well under what 400 leaked
-	// promotion states would add (~17 MiB).
+	// The slack covers the flight recorder's ring and the guard's
+	// bounded per-class state.
 	const slack = 8 << 20
 	if growth > CompileCacheBytes+slack {
 		t.Fatalf("live heap grew %d bytes over %d new sources, budget %d + slack %d",

@@ -40,8 +40,9 @@ type RunRequest struct {
 	// Input keeps the workload's canonical input; an explicit empty
 	// string clears it.
 	Input *string `json:"input,omitempty"`
-	// Engine selects the emulator loop: "auto" (default), "adaptive",
-	// "fused", "fast", or "step".
+	// Engine selects the emulator loop: "auto" (default), "fused",
+	// "fast", or "step". "adaptive" names a removed tier and is still
+	// accepted as a synonym for "fused".
 	Engine string `json:"engine,omitempty"`
 	// Tenant names the caller for per-tenant step-budget caps.
 	Tenant string `json:"tenant,omitempty"`
@@ -114,21 +115,17 @@ type Timing struct {
 type RunResponse struct {
 	// RequestID is the request's X-Request-Id (generated at admission or
 	// echoed from the caller) — the key into GET /v1/debug/requests/{id}.
-	RequestID string           `json:"request_id,omitempty"`
-	Output    string           `json:"output,omitempty"`
-	Status    int32            `json:"status"`
-	Machine   string           `json:"machine,omitempty"`
-	Engine    string           `json:"engine,omitempty"`
-	Fusion    *emu.FusionStats `json:"fusion,omitempty"`
-	// Refusion reports the adaptive tier's promotion state for this
-	// program: whether its hot region has been re-fused with a mined
-	// per-workload vocabulary, and the resulting block/vocabulary mix.
-	Refusion     *emu.RefusionStats `json:"refusion,omitempty"`
-	Instructions int64              `json:"instructions,omitempty"`
-	Transfers    int64              `json:"transfers,omitempty"`
-	DataRefs     int64              `json:"data_refs,omitempty"`
-	Trap         *emu.Trap          `json:"trap,omitempty"`
-	Error        string             `json:"error,omitempty"`
+	RequestID    string           `json:"request_id,omitempty"`
+	Output       string           `json:"output,omitempty"`
+	Status       int32            `json:"status"`
+	Machine      string           `json:"machine,omitempty"`
+	Engine       string           `json:"engine,omitempty"`
+	Fusion       *emu.FusionStats `json:"fusion,omitempty"`
+	Instructions int64            `json:"instructions,omitempty"`
+	Transfers    int64            `json:"transfers,omitempty"`
+	DataRefs     int64            `json:"data_refs,omitempty"`
+	Trap         *emu.Trap        `json:"trap,omitempty"`
+	Error        string           `json:"error,omitempty"`
 	// Coalesced marks a response served from another identical in-flight
 	// request's execution.
 	Coalesced bool `json:"coalesced,omitempty"`
@@ -182,16 +179,14 @@ func parseEngine(s string) (emu.LoopMode, error) {
 	switch s {
 	case "", "auto":
 		return emu.LoopAuto, nil
-	case "adaptive":
-		return emu.LoopAdaptive, nil
-	case "fused":
+	case "fused", "adaptive":
 		return emu.LoopFused, nil
 	case "fast":
 		return emu.LoopFast, nil
 	case "step", "instrumented":
 		return emu.LoopInstrumented, nil
 	}
-	return 0, badRequest("unknown engine %q (want auto, adaptive, fused, fast, or step)", s)
+	return 0, badRequest("unknown engine %q (want auto, fused, fast, or step)", s)
 }
 
 // buildRequest translates the wire request into a driver.Request plus

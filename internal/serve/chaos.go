@@ -29,11 +29,11 @@ type ChaosPlan struct {
 	// matches a class exactly or its "workload/" prefix ("" = every
 	// class).
 	Target string `json:"target,omitempty"`
-	// PanicEvery injects a panic into every Nth adaptive-tier execution
-	// of a targeted class (0 = never). Panics fire only on the adaptive
-	// tier — the head of the fallback chain — modeling the bug the
-	// supervision layer exists for: the most aggressive engine failing
-	// while the safer tiers stay healthy.
+	// PanicEvery injects a panic into every Nth fused-tier execution of
+	// a targeted class (0 = never). Panics fire only on the fused engine
+	// — the head of the default fallback chain — modeling the bug the
+	// supervision layer exists for: the aggressive engine failing while
+	// the instrumented reference stays healthy.
 	PanicEvery int `json:"panic_every,omitempty"`
 	// PanicMax caps the total injected panics (0 = unlimited). A finite
 	// cap lets a smoke run prove the breaker closes again: once the
@@ -98,7 +98,7 @@ func ParseChaosPlan(s string) (*ChaosPlan, error) {
 type chaos struct {
 	plan ChaosPlan
 
-	headN  atomic.Int64 // targeted adaptive-tier executions seen
+	headN  atomic.Int64 // targeted fused-tier executions seen
 	latN   atomic.Int64 // executions seen by the latency injector
 	stallN atomic.Int64 // jobs seen by the stall injector
 	fired  atomic.Int64 // panics injected so far
@@ -130,9 +130,9 @@ func (c *chaos) targets(class string) bool {
 
 // wrap layers the chaos injection between the supervisor and the real
 // executor: latency applies to every execution, panics only to
-// adaptive-tier attempts of targeted classes — so the supervisor's
+// fused-tier attempts of targeted classes — so the supervisor's
 // fallback sees exactly the failure it is built for, and the rescue
-// tiers stay healthy.
+// tier stays healthy.
 func (c *chaos) wrap(next guard.ExecFunc) guard.ExecFunc {
 	return func(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
 		if c.due(c.latN.Add(1), c.plan.LatencyEvery) && c.plan.Latency > 0 {
@@ -143,10 +143,10 @@ func (c *chaos) wrap(next guard.ExecFunc) guard.ExecFunc {
 				return nil, ctx.Err()
 			}
 		}
-		if req.Loop == emu.LoopAdaptive && c.targets(class) && c.due(c.headN.Add(1), c.plan.PanicEvery) {
+		if req.Loop == emu.LoopFused && c.targets(class) && c.due(c.headN.Add(1), c.plan.PanicEvery) {
 			if max := c.plan.PanicMax; max == 0 || c.fired.Add(1) <= max {
 				c.mPanics.Inc()
-				panic(fmt.Sprintf("chaos: injected adaptive-engine panic (class %s, seed %d)", class, c.plan.Seed))
+				panic(fmt.Sprintf("chaos: injected fused-engine panic (class %s, seed %d)", class, c.plan.Seed))
 			}
 		}
 		return next(ctx, class, req)

@@ -42,7 +42,7 @@ func TestParseChaosPlan(t *testing.T) {
 
 // TestServeChaosSupervision walks the full supervised lifecycle through
 // the HTTP surface with a deterministic chaos plan: three injected
-// adaptive-engine panics, each rescued by the fused loop; the second
+// fused-engine panics, each rescued by the instrumented loop; the second
 // opens the sieve/branchreg breaker; the third defeats the first
 // half-open probe; the (exhausted) plan lets the second probe close the
 // breaker. Every response is a byte-correct 200 throughout.
@@ -83,11 +83,12 @@ func TestServeChaosSupervision(t *testing.T) {
 		return resp
 	}
 
-	// Panics 1 and 2: rescued by the fused tier; the second opens the breaker.
+	// Panics 1 and 2: rescued by the instrumented tier; the second opens
+	// the breaker.
 	for i, step := range []string{"first injected panic", "second injected panic"} {
 		resp := run(step)
-		if resp.Engine != emu.EngineFused || len(resp.FallbackFrom) != 1 || resp.FallbackFrom[0] != emu.EngineAdaptive {
-			t.Fatalf("%s: engine=%q fallback_from=%v, want fused rescue from adaptive", step, resp.Engine, resp.FallbackFrom)
+		if resp.Engine != emu.EngineInstrumented || len(resp.FallbackFrom) != 1 || resp.FallbackFrom[0] != emu.EngineFused {
+			t.Fatalf("%s: engine=%q fallback_from=%v, want instrumented rescue from fused", step, resp.Engine, resp.FallbackFrom)
 		}
 		if resp.Rerouted {
 			t.Fatalf("%s: rerouted before the breaker opened", step)
@@ -98,18 +99,18 @@ func TestServeChaosSupervision(t *testing.T) {
 		}
 	}
 
-	// Open breaker: the adaptive tier is skipped, not attempted (no panic).
+	// Open breaker: the fused tier is skipped, not attempted (no panic).
 	resp := run("request under open breaker")
-	if !resp.Rerouted || resp.Engine != emu.EngineFused || len(resp.FallbackFrom) != 0 {
-		t.Fatalf("open breaker: rerouted=%v engine=%q fallback_from=%v, want clean reroute to fused",
+	if !resp.Rerouted || resp.Engine != emu.EngineInstrumented || len(resp.FallbackFrom) != 0 {
+		t.Fatalf("open breaker: rerouted=%v engine=%q fallback_from=%v, want clean reroute to instrumented",
 			resp.Rerouted, resp.Engine, resp.FallbackFrom)
 	}
 
 	// First half-open probe eats the third (last) injected panic and reopens.
 	time.Sleep(cooldown + 100*time.Millisecond)
 	resp = run("failed half-open probe")
-	if len(resp.FallbackFrom) != 1 || resp.FallbackFrom[0] != emu.EngineAdaptive {
-		t.Fatalf("failed probe: fallback_from=%v, want [adaptive]", resp.FallbackFrom)
+	if len(resp.FallbackFrom) != 1 || resp.FallbackFrom[0] != emu.EngineFused {
+		t.Fatalf("failed probe: fallback_from=%v, want [fused]", resp.FallbackFrom)
 	}
 	if n := reg.Counter("guard.breaker.open").Value(); n != 2 {
 		t.Fatalf("guard.breaker.open = %d after failed probe, want 2", n)
@@ -118,8 +119,8 @@ func TestServeChaosSupervision(t *testing.T) {
 	// The chaos budget is spent: the next probe succeeds and closes.
 	time.Sleep(cooldown + 100*time.Millisecond)
 	resp = run("closing half-open probe")
-	if resp.Engine != emu.EngineAdaptive || len(resp.FallbackFrom) != 0 {
-		t.Fatalf("closing probe: engine=%q fallback_from=%v, want clean adaptive success", resp.Engine, resp.FallbackFrom)
+	if resp.Engine != emu.EngineFused || len(resp.FallbackFrom) != 0 {
+		t.Fatalf("closing probe: engine=%q fallback_from=%v, want clean fused success", resp.Engine, resp.FallbackFrom)
 	}
 	if n := reg.Counter("guard.breaker.close").Value(); n != 1 {
 		t.Fatalf("guard.breaker.close = %d, want 1", n)
@@ -128,10 +129,10 @@ func TestServeChaosSupervision(t *testing.T) {
 		t.Errorf("serve.chaos.panics = %d, want exactly the PanicMax budget 3", n)
 	}
 
-	// Steady state again: adaptive serves without supervision artifacts.
+	// Steady state again: fused serves without supervision artifacts.
 	resp = run("steady state after close")
-	if resp.Engine != emu.EngineAdaptive || resp.Rerouted || len(resp.FallbackFrom) != 0 {
-		t.Fatalf("steady state: %+v, want plain adaptive response", resp)
+	if resp.Engine != emu.EngineFused || resp.Rerouted || len(resp.FallbackFrom) != 0 {
+		t.Fatalf("steady state: %+v, want plain fused response", resp)
 	}
 
 	// The incident log tells the same story over HTTP.

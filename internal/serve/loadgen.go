@@ -82,7 +82,7 @@ type LoadResult struct {
 	WallNS    int64   `json:"wall_ns"`
 	ReqPerSec float64 `json:"req_s"`
 	// Engines counts the verified successful responses by the engine
-	// tier that served them ("adaptive", "fused", "fast", ...), so a
+	// tier that served them ("fused", "instrumented", ...), so a
 	// load run records which tiers actually carried the traffic — a
 	// run rescued mostly by fallback tiers is a different result than
 	// one served by the chain head, even at the same throughput.

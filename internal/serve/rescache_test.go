@@ -182,7 +182,7 @@ func TestServeQuarantineInvalidatesCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 
 	code, resp := post(t, ts.URL, &RunRequest{Workload: "sieve"})
-	if code != 200 || resp.Engine != emu.EngineAdaptive {
+	if code != 200 || resp.Engine != emu.EngineFused {
 		t.Fatalf("warmup: HTTP %d engine %q: %+v", code, resp.Engine, resp)
 	}
 	if code, resp := post(t, ts.URL, &RunRequest{Workload: "sieve"}); code != 200 || !resp.Cached {
@@ -193,7 +193,7 @@ func TestServeQuarantineInvalidatesCache(t *testing.T) {
 		t.Fatalf("no entries cached before quarantine: %+v", before)
 	}
 
-	s.sup.Quarantine("sieve/branchreg", emu.EngineAdaptive, "test quarantine")
+	s.sup.Quarantine("sieve/branchreg", emu.EngineFused, "test quarantine")
 
 	after := s.results.Stats()
 	if after.Invalidated <= before.Invalidated {
@@ -208,7 +208,7 @@ func TestServeQuarantineInvalidatesCache(t *testing.T) {
 	if resp.Cached {
 		t.Error("post-quarantine request served from the invalidated cache")
 	}
-	if !resp.Rerouted || resp.Engine == emu.EngineAdaptive {
+	if !resp.Rerouted || resp.Engine == emu.EngineFused {
 		t.Errorf("post-quarantine request not rerouted off the quarantined tier: engine %q rerouted=%v",
 			resp.Engine, resp.Rerouted)
 	}

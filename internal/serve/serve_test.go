@@ -93,23 +93,35 @@ func TestServeTable(t *testing.T) {
 					t.Errorf("served output diverges from driver.Exec: %q/%d vs %q/%d",
 						resp.Output, resp.Status, want.Output, want.Status)
 				}
-				if resp.Machine != "branchreg" || resp.Engine != emu.EngineAdaptive {
+				if resp.Machine != "branchreg" || resp.Engine != emu.EngineFused {
 					t.Errorf("machine/engine = %q/%q", resp.Machine, resp.Engine)
 				}
-				// Sieve's hot blocks cross the default promotion threshold
-				// mid-run, so even a cold first request reports a re-fused
-				// hot region.
-				if resp.Refusion == nil || !resp.Refusion.Promoted {
-					t.Errorf("adaptive run did not promote: %+v", resp.Refusion)
-				}
 				if resp.Fusion == nil || resp.Fusion.Blocks == 0 {
-					t.Errorf("promoted run reported no fusion stats: %+v", resp.Fusion)
+					t.Errorf("fused run reported no fusion stats: %+v", resp.Fusion)
 				}
 				if resp.Instructions != want.Stats.Instructions {
 					t.Errorf("instructions = %d, want %d", resp.Instructions, want.Stats.Instructions)
 				}
 				if resp.Timing == nil || resp.Timing.RunNS <= 0 || resp.Timing.TotalNS <= 0 {
 					t.Errorf("timing not filled: %+v", resp.Timing)
+				}
+			},
+		},
+		{
+			// "adaptive" names a removed tier; the wire contract still
+			// accepts it and serves on the fused engine.
+			name: "engine-adaptive-alias",
+			req:  RunRequest{Workload: "sieve", Engine: "adaptive", NoCache: true},
+			code: 200,
+			check: func(t *testing.T, resp *RunResponse) {
+				if resp.Output != want.Output || resp.Status != want.Status ||
+					resp.Instructions != want.Stats.Instructions {
+					t.Errorf("adaptive request diverges from driver.Exec: %q/%d/%d vs %q/%d/%d",
+						resp.Output, resp.Status, resp.Instructions,
+						want.Output, want.Status, want.Stats.Instructions)
+				}
+				if resp.Engine != emu.EngineFused {
+					t.Errorf("engine = %q, want %q", resp.Engine, emu.EngineFused)
 				}
 			},
 		},
@@ -132,6 +144,12 @@ func TestServeTable(t *testing.T) {
 			req:     RunRequest{Source: "int main(void) { return undeclared; }"},
 			code:    400,
 			errLike: "undeclared",
+		},
+		{
+			name:    "nesting-budget",
+			req:     RunRequest{Source: "int main(void) { return 1" + strings.Repeat("+1", 1000) + "; }"},
+			code:    400,
+			errLike: "nesting exceeds 256",
 		},
 		{
 			name:    "empty-request",

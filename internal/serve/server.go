@@ -236,7 +236,7 @@ type Server struct {
 
 // CompileCacheBytes budgets the default compile cache. Traffic that
 // brings new source would otherwise grow the server by every program it
-// ever compiled (and that program's adaptive promotion state). The 19×2
+// ever compiled. The 19×2
 // workload matrix holds about 7.3 MiB of programs, so repeated traffic
 // over it stays fully resident.
 const CompileCacheBytes = 16 << 20
@@ -725,13 +725,9 @@ func (s *Server) respondCached(w http.ResponseWriter, req *driver.Request, res *
 		Engine:  res.Engine,
 		Timing:  &Timing{TotalNS: time.Since(rc.start).Nanoseconds()},
 	}
-	if res.Engine == emu.EngineFused || res.Engine == emu.EngineAdaptive {
+	if res.Engine == emu.EngineFused {
 		f := res.Fusion
 		resp.Fusion = &f
-	}
-	if res.Engine == emu.EngineAdaptive {
-		rf := res.Refusion
-		resp.Refusion = &rf
 	}
 	resp.Instructions = res.Stats.Instructions
 	resp.Transfers = res.Stats.Transfers()
@@ -762,13 +758,9 @@ func (s *Server) respond(w http.ResponseWriter, req *driver.Request, j *job, rc 
 		resp.Cached = res.Cached
 		resp.FallbackFrom = j.out.FallbackFrom
 		resp.Rerouted = j.out.Rerouted
-		if res.Engine == emu.EngineFused || res.Engine == emu.EngineAdaptive {
+		if res.Engine == emu.EngineFused {
 			f := res.Fusion
 			resp.Fusion = &f
-		}
-		if res.Engine == emu.EngineAdaptive {
-			rf := res.Refusion
-			resp.Refusion = &rf
 		}
 		resp.Instructions = res.Stats.Instructions
 		resp.Transfers = res.Stats.Transfers()

@@ -280,8 +280,9 @@ func TestBrbenchTraceAndProfile(t *testing.T) {
 		t.Fatalf("programs = %d, want 1", len(rep.Suite.Programs))
 	}
 	p := rep.Suite.Programs[0]
-	if p.BaselineEngine != "fused" || p.BRMEngine != "fused" {
-		t.Errorf("engines = %q/%q, want fused/fused", p.BaselineEngine, p.BRMEngine)
+	// -profile runs take the profiled fast loop.
+	if p.BaselineEngine != "fast" || p.BRMEngine != "fast" {
+		t.Errorf("engines = %q/%q, want fast/fast", p.BaselineEngine, p.BRMEngine)
 	}
 	if len(p.BaselineBlocks) == 0 || len(p.BRMBlocks) == 0 {
 		t.Errorf("hot_blocks missing: baseline %d, brm %d", len(p.BaselineBlocks), len(p.BRMBlocks))
